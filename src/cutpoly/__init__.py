@@ -8,7 +8,7 @@ from .graphs import (BlockDecomposition, Cut, DuplicateEdgeError, Graph,
                      cut_vectors, cut_weight, ear_decomposition,
                      enumerate_cuts, format_graph, is_connected,
                      is_k_connected, k5_subgraphs, parse_graph, triangles)
-from .minors import has_minor, minor_exhaustive
+from .minors import has_minor, is_c4_minor_free, minor_exhaustive
 from .planar import (DisconnectedError, DualGraph, Embedding, dual_graph,
                      faces_of, planar_embed)
 from .spqr import (K33Decomposition, K33MinorError, SkelEdge, SkeletonNode,
@@ -23,8 +23,7 @@ from .polytope import (InequalitySystem, LinearInequality, brute_hull,
                        facet_description, fourier_motzkin_project,
                        hypermetric_k5, is_facet, is_valid,
                        metric_inequalities, polytope_dim, switch)
-from .classify import (ClassificationReport, brute_classify, classify,
-                       is_c4_minor_free)
+from .classify import ClassificationReport, brute_classify, classify
 from .generate import GeneratorSpec, Xoshiro256StarStar, gen_k33free
 
 __version__ = "0.1.0"

@@ -14,17 +14,8 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, SizeLimitError, blocks, chordless_cycles, \
     compact_graph, connected_components, cut_vectors
+from .minors import c4_minor_block
 from .polytope import LinearInequality, brute_hull
-
-
-def is_c4_minor_free(g: Graph) -> bool:
-    """True iff every block of every component is an edge or a triangle."""
-    for bnodes, bedges in blocks(g).blocks:
-        if len(bedges) == 1:
-            continue
-        if not (len(bnodes) == 3 and len(bedges) == 3):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -78,14 +69,13 @@ def classify(g: Graph) -> ClassificationReport:
     if not g.edges:
         return ClassificationReport(True, True, "trivial polytope",
                                     "trivial polytope")
-    simple = is_c4_minor_free(g)
+    bad = c4_minor_block(g)
+    simple = bad is None
     c4_witness = None
     certificate: tuple[LinearInequality, ...] = ()
     if simple:
         simple_reason = "every block is an edge or a triangle"
     else:
-        bad = next(b for b in blocks(g).blocks
-                   if len(b[1]) > 1 and not (len(b[0]) == 3 and len(b[1]) == 3))
         c4_witness = tuple(sorted(bad[0]))
         simple_reason = (f"block on nodes {c4_witness} is neither an edge "
                          "nor a triangle (C4 minor)")

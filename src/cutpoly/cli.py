@@ -3,13 +3,14 @@
 Subcommands: maxcut, decompose, facets, classify, verify, gen.  All
 graphs travel in the `p cut` text format; all numeric output is decimal.
 Exit codes: 0 ok, 1 verification mismatch, 2 input error, 3 unsupported
-graph class.
+graph class, 4 internal error (a failed internal check or any other bug).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .graphs import (Graph, NotTwoConnectedError, ParseError,
                      SizeLimitError, cut_vectors, format_graph, parse_graph)
@@ -20,7 +21,7 @@ from . import polytope as polytope_mod
 from . import spqr as spqr_mod
 from .spqr import K33MinorError
 
-OK, MISMATCH, INPUT_ERROR, UNSUPPORTED = 0, 1, 2, 3
+OK, MISMATCH, INPUT_ERROR, UNSUPPORTED, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 def _read_graph(path: str) -> Graph:
@@ -109,6 +110,8 @@ def cmd_verify(args) -> int:
             lines.append(f"maxcut ok value {exact.value}")
     except SizeLimitError as exc:
         lines.append(f"maxcut skipped ({exc})")
+    except K33MinorError:
+        lines.append("maxcut skipped (K33 minor)")
 
     try:
         system = polytope_mod.facet_description(g)
@@ -243,6 +246,10 @@ def main(argv=None) -> int:
             return UNSUPPORTED
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

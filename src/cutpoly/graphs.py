@@ -307,60 +307,19 @@ def blocks(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(tuple(raw_blocks), frozenset(cut_nodes))
 
 
-def _count_disjoint_paths(g: Graph, s: int, t: int, need: int) -> int:
-    """Internally node-disjoint s-t paths (Menger), capped at `need`.
-
-    Unit-capacity max-flow on the node-split digraph; the direct edge s-t,
-    if present, contributes one path like any other.
-    """
-    n = g.node_count
-    # node ids: in(v) = 2v, out(v) = 2v + 1
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-
-    big = g.node_count + 1
-    for v in range(n):
-        add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-    for u, v, _w in g.edges:
-        add(2 * u + 1, 2 * v, 1)
-        add(2 * v + 1, 2 * u, 1)
-    adj: dict[int, list[int]] = {}
-    for a, b in cap:
-        adj.setdefault(a, []).append(b)
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < need:
-        # BFS for an augmenting path
-        pred: dict[int, int] = {src: src}
-        queue = [src]
-        while queue and snk not in pred:
-            nxt = []
-            for a in queue:
-                for b in adj.get(a, ()):
-                    if b not in pred and cap[(a, b)] > 0:
-                        pred[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if snk not in pred:
-            break
-        x = snk
-        while x != src:
-            p = pred[x]
-            cap[(p, x)] -= 1
-            cap[(x, p)] += 1
-            x = p
-        flow += 1
-    return flow
+def _is_biconnected(g: Graph) -> bool:
+    """One block spanning every node (callers guarantee node_count >= 3)."""
+    bd = blocks(g)
+    return len(bd.blocks) == 1 and len(bd.blocks[0][0]) == g.node_count
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """k-connectivity (k in {1,2,3}) via pairwise disjoint-path counts.
+    """k-connectivity (k in {1,2,3}) from the block decomposition.
 
     Requires node_count > k for k >= 2, so K2 is connected but not
-    2-connected, matching the ear-decomposition characterization.
+    2-connected, matching the ear-decomposition characterization.  G is
+    2-connected iff it is a single block on all nodes, and 3-connected iff
+    moreover every G-v is 2-connected.
     """
     if k not in (1, 2, 3):
         raise GraphError("k must be 1, 2 or 3")
@@ -372,10 +331,14 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if any(g.degree(v) < k for v in range(g.node_count)):
         return False
-    for s, t in itertools.combinations(range(g.node_count), 2):
-        if _count_disjoint_paths(g, s, t, k) < k:
-            return False
-    return True
+    if not _is_biconnected(g):
+        return False
+    if k == 2:
+        return True
+    return all(_is_biconnected(compact_graph(
+        [x for x in range(g.node_count) if x != v],
+        [e for e in g.edges if v not in e[:2]])[0])
+        for v in range(g.node_count))
 
 
 # -- substructures ---------------------------------------------------------

@@ -198,16 +198,17 @@ def _dense_maxcut(g: Graph,
 class EliminationState:
     """Working state of one 2-connected block during leaf elimination.
 
-    Holds the augmented graph's current edge weights, the shrinking tree,
-    and the recorded steps.  Mutated in place by eliminate(); finish()
+    Holds the block's SPR tree as built (`tree`, before augmentation), the
+    augmented graph's current edge weights, the shrinking tree, and the
+    recorded steps.  Mutated in place by eliminate(); finish()
     solves the last component and returns (value, node side set).
     """
 
     def __init__(self, block: Graph):
         if len(block.edges) < 3:
             raise GraphError("elimination needs a block with >= 3 edges")
-        tree = spqr_mod.spr_tree(block)
-        aug, tree = spqr_mod.augment_with_parallel_originals(block, tree)
+        self.tree = spqr_mod.spr_tree(block)
+        aug, tree = spqr_mod.augment_with_parallel_originals(block, self.tree)
         self.graph = aug
         self.weight: dict[int, int] = {i: w for i, (_u, _v, w) in enumerate(aug.edges)}
         self.kind: dict[int, str] = {sn.id: sn.kind for sn in tree.nodes}
@@ -401,13 +402,10 @@ def _solve_block(g: Graph, bnodes: frozenset[int], bedges: tuple[int, ...],
         return 0, {u: 0, v: 0}
     sub, to_sub = compact_graph(sorted(bnodes), [g.edges[i] for i in bedges])
     back = {i: v for v, i in to_sub.items()}
-    dec_tree = spqr_mod.spr_tree(sub)
-    for sn in dec_tree.nodes:
-        if sn.kind == "R":
-            cls = spqr_mod._classify_r_skeleton(sn)
-            if cls == "NonPlanar":
-                witness = spqr_mod._relabel_skeleton(sn, back, bedges)
-                raise K33MinorError("graph has a K33 minor", witness)
     state = EliminationState(sub)
+    for sn in state.tree.nodes:
+        if sn.kind == "R" and spqr_mod._classify_r_skeleton(sn) == "NonPlanar":
+            witness = spqr_mod._relabel_skeleton(sn, back, bedges)
+            raise K33MinorError("graph has a K33 minor", witness)
     value, local = state.run(order)
     return value, {back[v]: c for v, c in local.items()}

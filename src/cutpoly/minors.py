@@ -23,7 +23,7 @@ def has_minor(g: Graph, h: str) -> bool:
     if h not in MINORS:
         raise GraphError(f"unsupported minor {h!r}")
     if h == "C4":
-        return not _blocks_all_edge_or_triangle(g)
+        return not is_c4_minor_free(g)
     for bnodes, bedges in blocks(g).blocks:
         if h == "K33" and (len(bnodes) < 6 or len(bedges) < 9):
             continue
@@ -50,13 +50,17 @@ def has_minor(g: Graph, h: str) -> bool:
     return False
 
 
-def _blocks_all_edge_or_triangle(g: Graph) -> bool:
-    for bnodes, bedges in blocks(g).blocks:
-        if len(bedges) == 1:
-            continue
-        if not (len(bnodes) == 3 and len(bedges) == 3):
-            return False
-    return True
+def c4_minor_block(g: Graph) -> tuple[frozenset[int], tuple[int, ...]] | None:
+    """First block (nodes, edge indices) that is neither an edge nor a
+    triangle, or None.  Such a block carries a C4 minor."""
+    return next((b for b in blocks(g).blocks
+                 if len(b[1]) > 1 and not (len(b[0]) == 3 and len(b[1]) == 3)),
+                None)
+
+
+def is_c4_minor_free(g: Graph) -> bool:
+    """True iff every block of every component is an edge or a triangle."""
+    return c4_minor_block(g) is None
 
 
 # -- exhaustive oracle -------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, blocks, is_connected
+from .graphs import Graph, GraphError, blocks, compact_graph, is_connected
 
 
 class DisconnectedError(GraphError):
@@ -204,7 +204,7 @@ def planar_embed(g: Graph) -> Embedding | None:
             rotation[u].append(bedges[0])
             rotation[v].append(bedges[0])
             continue
-        sub, to_sub = _block_subgraph(g, bnodes, bedges)
+        sub, to_sub = compact_graph(sorted(bnodes), [g.edges[i] for i in bedges])
         faces = _embed_biconnected(sub)
         if faces is None:
             return None
@@ -217,16 +217,6 @@ def planar_embed(g: Graph) -> Embedding | None:
     emb = Embedding(g, tuple(tuple(r) for r in rotation), 0)
     fcount = len(faces_of(emb))
     return Embedding(g, emb.rotation, fcount)
-
-
-def _block_subgraph(g: Graph, bnodes: frozenset[int],
-                    bedges: tuple[int, ...]) -> tuple[Graph, dict[int, int]]:
-    order = sorted(bnodes)
-    to_sub = {v: i for i, v in enumerate(order)}
-    sub = Graph(len(order),
-                [(to_sub[g.edges[i][0]], to_sub[g.edges[i][1]], g.edges[i][2])
-                 for i in bedges])
-    return sub, to_sub
 
 
 def _other(g: Graph, edge_index: int, v: int) -> int:

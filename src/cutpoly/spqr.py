@@ -9,7 +9,7 @@ the canonical decomposition regardless of split order.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import (Graph, GraphError, NotTwoConnectedError, blocks,
@@ -119,21 +119,42 @@ def _split_classes(nodes: list[int], edges: list[tuple[int, int, tuple]],
     return sorted(groups.values())
 
 
+def _split_candidates(nodes: list[int], edges: list[tuple[int, int, tuple]],
+                      v: int) -> list[int]:
+    """Partners w > v that can form a split pair with v: the cut nodes of
+    G-v (then G-{v, w} is disconnected, giving two classes of >= 2 edges)
+    and the nodes joined to v by parallel edges (two singleton classes)."""
+    simple = {(min(a, b), max(a, b)) for a, b, _t in edges if v not in (a, b)}
+    sub, to_sub = compact_graph([x for x in nodes if x != v],
+                                [(a, b, 0) for a, b in simple])
+    back = {i: x for x, i in to_sub.items()}
+    found = {back[c] for c in blocks(sub).cut_nodes}
+    partners = Counter(b if a == v else a for a, b, _t in edges if v in (a, b))
+    found.update(w for w, c in partners.items() if c >= 2)
+    return sorted(w for w in found if w > v)
+
+
 def _find_split(nodes: list[int], edges: list[tuple[int, int, tuple]]):
-    """A split pair with a bipartition of its classes, both sides >= 2 edges."""
-    for v, w in itertools.combinations(sorted(nodes), 2):
-        classes = _split_classes(nodes, edges, v, w)
-        singles = [c for c in classes if len(c) == 1]
-        bigs = [c for c in classes if len(c) >= 2]
-        if len(bigs) >= 2:
-            side_a = bigs[0]
-            rest = [i for i in range(len(edges)) if i not in set(side_a)]
-            return v, w, side_a, rest
-        if len(singles) >= 2:
-            side_a = [i for c in singles for i in c]
-            rest = [i for i in range(len(edges)) if i not in set(side_a)]
-            if len(rest) >= 2:
+    """A split pair with a bipartition of its classes, both sides >= 2 edges.
+
+    Pairs are tried in lexicographic order; only the candidates of
+    `_split_candidates` can succeed, so the first split found is the same
+    as in a scan over all pairs.
+    """
+    for v in sorted(nodes):
+        for w in _split_candidates(nodes, edges, v):
+            classes = _split_classes(nodes, edges, v, w)
+            singles = [c for c in classes if len(c) == 1]
+            bigs = [c for c in classes if len(c) >= 2]
+            if len(bigs) >= 2:
+                side_a = bigs[0]
+                rest = [i for i in range(len(edges)) if i not in set(side_a)]
                 return v, w, side_a, rest
+            if len(singles) >= 2:
+                side_a = [i for c in singles for i in c]
+                rest = [i for i in range(len(edges)) if i not in set(side_a)]
+                if len(rest) >= 2:
+                    return v, w, side_a, rest
     return None
 
 

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cutpoly import format_graph, parse_graph
+import cutpoly
+from cutpoly import cli, format_graph, parse_graph
 from cutpoly.cli import main
 from helpers import complete, cycle, double_k5, k33, path
 
@@ -115,6 +118,27 @@ def test_exit_code_unsupported(tmp_path, capsys):
     assert code == 3
 
 
+def test_verify_k33_runs_every_stage(tmp_path, capsys):
+    f = tmp_path / "k33.cut"
+    f.write_text(format_graph(k33()))
+    code, out, _ = run_cli(["verify", str(f)], capsys)
+    lines = out.splitlines()
+    assert code == 0 and "MISMATCH" not in out
+    assert lines[0] == "maxcut skipped (K33 minor)"
+    assert sum(l.startswith("facets ok") for l in lines) == 1
+    assert sum(l.startswith("classify ok") for l in lines) == 1
+
+
+def test_internal_error_exit_code(k5_file, monkeypatch, capsys):
+    def broken(_g):
+        raise AssertionError("witness does not match value")
+
+    monkeypatch.setattr(cli, "solve_maxcut", broken)
+    code, out, err = run_cli(["maxcut", k5_file], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: AssertionError")
+
+
 def test_verify_unsupported_class(tmp_path, capsys):
     f = tmp_path / "k6.cut"
     f.write_text(format_graph(complete(6)))
@@ -152,7 +176,11 @@ def test_gen_options_and_verify_round_trip(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child finds the same cutpoly as this process, installed or not
+    src = str(Path(cutpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "cutpoly.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     # argparse prints usage and exits 0 for --help
     assert proc.returncode == 0 and "maxcut" in proc.stdout
