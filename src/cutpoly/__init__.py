@@ -1,9 +1,10 @@
 """Exact MaxCut and cut-polytope toolkit for graphs that decompose into
 planar pieces and K5s by clique-sums."""
 
-from .graphs import (BlockDecomposition, Cut, DuplicateEdgeError, Graph,
-                     GraphError, NodeRangeError, NotTwoConnectedError,
-                     ParseError, SelfLoopError, SizeLimitError, blocks,
+from .graphs import (BlockDecomposition, CertificationError, Cut,
+                     DuplicateEdgeError, Graph, GraphError, NodeRangeError,
+                     NotTwoConnectedError, ParseError, SelfLoopError,
+                     SizeLimitError, blocks,
                      chordless_cycles, connected_components, cut_from_side,
                      cut_vectors, cut_weight, ear_decomposition,
                      enumerate_cuts, format_graph, is_connected,
@@ -29,7 +30,8 @@ from .generate import GeneratorSpec, Xoshiro256StarStar, gen_k33free
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition", "ClassificationReport", "Cut", "DisconnectedError",
+    "BlockDecomposition", "CertificationError", "ClassificationReport", "Cut",
+    "DisconnectedError",
     "DualGraph", "DuplicateEdgeError", "EliminationState", "EliminationStep",
     "Embedding", "GeneratorSpec", "Graph", "GraphError", "InequalitySystem",
     "K33Decomposition", "K33MinorError", "LinearInequality", "MatchingError",

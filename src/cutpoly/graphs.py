@@ -43,6 +43,11 @@ class NotTwoConnectedError(GraphError):
     """Operation requires a 2-connected input."""
 
 
+class CertificationError(RuntimeError):
+    """An internal check of a computed result failed: a bug, not bad input
+    (so deliberately not a GraphError, which the CLI reports as input)."""
+
+
 class Graph:
     """Immutable simple undirected graph with integer edge weights.
 

@@ -1,22 +1,37 @@
 """Cut-polytope machinery.
 
 Inequality classes (edge, cycle, metric, the K5 inequality), switching,
-exact validity / facet certification against enumerated cuts, complete
-facet descriptions for K5-minor-free and K33-minor-free graphs, variable
-elimination for edge deletions, and an exact convex-hull oracle (double
-description over rationals).
+facet certification against enumerated cuts, complete facet descriptions
+for K5-minor-free and K33-minor-free graphs, variable elimination for edge
+deletions, and an exact convex-hull oracle (double description over
+rationals).
+
+Facet certification (`is_facet`, and every Fourier-Motzkin projection)
+decides a batch of candidate inequalities in three steps, all exact:
+
+1. one integer product of the candidates with the cut matrix gives each
+   candidate's validity and its tight cuts;
+2. a valid candidate whose tight set lies inside another valid
+   candidate's is rejected, with no rank computed (the cut polytope is
+   full-dimensional, so a facet has one canonical inequality);
+3. a surviving candidate is accepted when its tight points [x, 1],
+   compressed by a fixed pseudo-random matrix, have rank |E| modulo a
+   prime; any candidate still undecided gets the exact `affine_rank`.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .graphs import (Cut, Graph, GraphError, SizeLimitError, blocks,
-                     chordless_cycles, compact_graph, cut_vectors,
-                     enumerate_cuts, triangles)
+import numpy as np
+
+from .graphs import (CertificationError, Cut, Graph, GraphError,
+                     SizeLimitError, blocks, chordless_cycles, compact_graph,
+                     cut_vectors, enumerate_cuts, triangles)
 from . import minors as minors_mod
 from . import spqr as spqr_mod
 from .spqr import K33MinorError
@@ -165,18 +180,118 @@ def is_valid(g: Graph, q: LinearInequality) -> bool:
 
 def is_facet(g: Graph, q: LinearInequality) -> bool:
     _guard(g)
-    return _is_facet_over(cut_vectors(g), q, len(g.edges))
+    if max(map(abs, (*q.coeffs, q.rhs))) >= 1 << 31:
+        raise SizeLimitError("is_facet guard: |coefficients| < 2^31")
+    coeffs = np.array([q.coeffs], dtype=np.int64).reshape(1, len(g.edges))
+    return bool(_facet_mask(_cut_matrix(g), coeffs,
+                            np.array([q.rhs], dtype=np.int64))[0])
 
 
-def _is_facet_over(vectors, q: LinearInequality, dim: int) -> bool:
-    tight = []
-    for x in vectors:
-        v = q.evaluate(x)
-        if v > q.rhs:
-            return False
-        if v == q.rhs:
-            tight.append(x)
-    return affine_rank(tight) == dim - 1
+# modulus of the rank proof: a product of two residues fits in an int64
+_PRIME = 2_147_483_647
+_WEIGHT_SEED = 2019
+# entries per temporary array in the batched steps, which bounds their memory
+_CELLS = 1 << 10
+
+
+def _cut_matrix(g: Graph) -> np.ndarray:
+    return np.array(cut_vectors(g), dtype=np.int64).reshape(-1, len(g.edges))
+
+
+def _facet_mask(cuts: np.ndarray, coeffs: np.ndarray,
+                rhs: np.ndarray) -> np.ndarray:
+    """Which rows of coeffs . x <= rhs are facets of conv(cuts).
+
+    `cuts` are the cut vectors of a graph, so conv(cuts) is full-dimensional
+    in R^dim; the rows are distinct canonical inequalities.
+
+    1. Validity and tight sets come from coeffs @ cuts.T, in row chunks.
+    2. Containment: a valid row whose tight set lies inside the tight set
+       of another valid row is not a facet.  If it were, the other row
+       would be tight on that facet's affine hull, a hyperplane, and a
+       valid inequality of a full-dimensional polytope that is tight on a
+       facet is a positive multiple of it, so the two canonical rows would
+       be equal.  Tight sets are packed into 64-bit words and compared
+       with AND-NOT, in row chunks.
+    3. Rank: for each surviving row, M holds its tight points [x, 1] and W
+       is a fixed pseudo-random dim x |cuts| matrix.  Rank mod p of W.M is
+       at most the rank of M over Q, which is at most dim because the
+       points lie on the row's hyperplane; so rank dim mod p proves a
+       facet.  Rows short of it are decided by the exact `affine_rank`.
+    """
+    count, (points, dim) = len(rhs), cuts.shape
+    nbytes = -(-points // 8)
+    valid = np.zeros(count, dtype=bool)
+    tight = np.zeros((count, -(-points // 64) * 8), dtype=np.uint8)
+    step = max(1, _CELLS // points)
+    for s in range(0, count, step):
+        values = coeffs[s:s + step] @ cuts.T
+        bound = rhs[s:s + step, None]
+        valid[s:s + step] = (values <= bound).all(axis=1)
+        tight[s:s + step, :nbytes] = np.packbits(values == bound, axis=1)
+
+    rows = np.flatnonzero(valid)
+    bits = tight[rows].view(np.uint64)
+    lacks = ~bits
+    inside = np.zeros(len(rows), dtype=bool)
+    step = max(1, _CELLS // max(1, bits.size))
+    for s in range(0, len(rows), step):
+        # escapes[i, j]: row s+i is tight at a cut where row j is not
+        escapes = (bits[s:s + step, None, :] & lacks[None]).any(axis=2)
+        escapes[np.arange(len(escapes)), np.arange(s, s + len(escapes))] = True
+        inside[s:s + step] = ~escapes.all(axis=1)
+
+    facet = np.zeros(count, dtype=bool)
+    survivors = rows[~inside]
+    marks = np.unpackbits(tight[survivors], axis=1, count=points).view(bool)
+    proved = _rank_proof(cuts, marks)
+    facet[survivors[proved]] = True
+    for row, mark in zip(survivors[~proved], marks[~proved]):
+        facet[row] = affine_rank(cuts[mark].tolist()) == dim - 1
+    return facet
+
+
+def _rank_proof(cuts: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """For each row of marks (a set of cuts x), whether W.M has rank dim
+    modulo _PRIME, where M stacks the marked [x, 1]."""
+    p = _PRIME
+    points, dim = cuts.shape
+    proved = np.zeros(len(marks), dtype=bool)
+    if dim == 0:
+        return proved
+    raw = random.Random(_WEIGHT_SEED).getrandbits(32 * dim * points)
+    weights = np.frombuffer(raw.to_bytes(4 * dim * points, "little"),
+                            dtype=np.uint32).reshape(dim, points) % p
+    homog = np.hstack([cuts, np.ones((points, 1), dtype=np.int64)])
+    step = max(1, _CELLS // max(points, dim * (dim + 1)))
+    for s in range(0, len(marks), step):
+        chosen = marks[s:s + step].astype(np.int64)
+        mats = np.empty((len(chosen), dim, dim + 1), dtype=np.int64)
+        for i, w in enumerate(weights):
+            # sums stay below points * p, far inside int64
+            mats[:, i, :] = chosen @ (w[:, None] * homog) % p
+        proved[s:s + step] = _full_row_rank_mod_p(mats)
+    return proved
+
+
+def _full_row_rank_mod_p(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack (entries in [0, p)) has full row rank
+    modulo _PRIME, by fraction-free row elimination of the whole stack;
+    mats is overwritten."""
+    p = _PRIME
+    full = np.ones(len(mats), dtype=bool)
+    pick = np.arange(len(mats))
+    for i in range(mats.shape[1]):
+        row = mats[:, i, :]
+        col = (row != 0).argmax(axis=1)
+        pivot = row[pick, col]
+        full &= pivot != 0
+        below = mats[:, i + 1:, :]
+        factor = below[pick, :, col]
+        below *= pivot[:, None, None]
+        below -= factor[:, :, None] * row[:, None, :]
+        below %= p
+    return full
 
 
 def affine_rank(points) -> int:
@@ -218,7 +333,8 @@ def polytope_dim(g: Graph) -> int:
     """Affine rank of the cut vectors; always equals the edge count."""
     _guard(g)
     d = affine_rank(cut_vectors(g))
-    assert d == len(g.edges), "cut polytope dimension must equal |E|"
+    if d != len(g.edges):
+        raise CertificationError("cut polytope dimension must equal |E|")
     return d
 
 
@@ -254,7 +370,9 @@ def brute_hull(points) -> list[LinearInequality]:
     out = []
     for ray in rays:
         t = ray[dim]
-        assert t > 0, "polar of a full-dimensional polytope is bounded"
+        if t <= 0:
+            raise CertificationError(
+                "polar of a full-dimensional polytope is bounded")
         # vertex y = ray/t of the scaled polar; facet y.(x - centroid) <= 1
         # i.e. k*ray . x <= k*t + ray . sums (all integer after clearing t)
         coeffs = [k * c for c in ray[:dim]]
@@ -280,7 +398,8 @@ def _dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]]:
             mat.append([Fraction(x) for x in r])
         if len(basis) == d:
             break
-    assert len(basis) == d, "constraint rows must span the space"
+    if len(basis) != d:
+        raise CertificationError("constraint rows must span the space")
     inv = _invert(mat)
     done = list(basis)
 
@@ -327,7 +446,8 @@ def _primitive(vec) -> tuple[int, ...]:
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
-    assert g > 0, "zero ray"
+    if g == 0:
+        raise CertificationError("zero ray")
     return tuple(c // g for c in ints)
 
 
@@ -469,48 +589,57 @@ def _projected_facets(g: Graph) -> list[LinearInequality]:
     # so surviving indices match g's
     for idx in range(len(h.edges) - 1, len(g.edges) - 1, -1):
         system = fourier_motzkin_project(system, idx)
-    assert system.graph == g
+    if system.graph != g:
+        raise CertificationError("projection did not return the input graph")
     return list(system.inequalities)
 
 
-def fourier_motzkin_project(system: InequalitySystem, edge_index: int,
-                            projected_cuts=None) -> InequalitySystem:
+def fourier_motzkin_project(system: InequalitySystem,
+                            edge_index: int) -> InequalitySystem:
     """Eliminate one variable from a complete facet description.
 
-    Pairs of inequalities with opposite signs on the variable are summed
-    (coefficients are +-1 for the systems handled here, so no scaling);
-    zero-coefficient inequalities pass through.  Every candidate is kept
-    only if it is a facet of the projection, certified against the
-    projected cut vectors.
+    Pairs of inequalities with opposite signs on the variable are summed,
+    each scaled by the other's coefficient; zero-coefficient inequalities
+    pass through.  Candidates are divided by their gcd, and those with
+    entries in {-1, 0, 1} (facets here have no others) are certified
+    together as facets of the projection by `_facet_mask`.
     """
     h = system.graph
+    m = len(h.edges)
     newg = h.without_edge(edge_index)
-    if projected_cuts is None:
-        vectors = cut_vectors(newg)
-    else:
-        vectors = [c.vector(len(newg.edges)) if isinstance(c, Cut) else tuple(c)
-                   for c in projected_cuts]
-    pos, neg, zero = [], [], []
-    for q in system.inequalities:
-        c = q.coeffs[edge_index]
-        (zero if c == 0 else pos if c > 0 else neg).append(q)
+    coeffs = np.array([q.coeffs for q in system.inequalities],
+                      dtype=np.int64).reshape(-1, m)
+    rhs = np.array([q.rhs for q in system.inequalities], dtype=np.int64)
+    var = coeffs[:, edge_index]
+    found: set[tuple[tuple[int, ...], int]] = set()
+    _add_candidates(found, coeffs[var == 0], rhs[var == 0], edge_index)
+    ap, bp = coeffs[var > 0], rhs[var > 0]
+    an, bn = coeffs[var < 0], rhs[var < 0]
+    sp, sn = ap[:, edge_index], -an[:, edge_index]
+    step = max(1, _CELLS // max(1, an.size))
+    for s in range(0, len(ap), step):
+        sums = (sn[None, :, None] * ap[s:s + step, None, :]
+                + sp[s:s + step, None, None] * an[None, :, :])
+        rights = sn[None, :] * bp[s:s + step, None] + sp[s:s + step, None] * bn
+        _add_candidates(found, sums.reshape(-1, m), rights.reshape(-1),
+                        edge_index)
+    cands = list(found)
+    facet = _facet_mask(
+        _cut_matrix(newg),
+        np.array([c for c, _r in cands], dtype=np.int64).reshape(-1, m - 1),
+        np.array([r for _c, r in cands], dtype=np.int64))
+    return InequalitySystem.of(newg, [LinearInequality(c, r) for (c, r), f
+                                      in zip(cands, facet) if f])
 
-    def drop_var(coeffs):
-        return coeffs[:edge_index] + coeffs[edge_index + 1:]
 
-    candidates: set[LinearInequality] = set()
-    for q in zero:
-        candidates.add(LinearInequality.canonical(drop_var(q.coeffs), q.rhs))
-    for qp, qn in itertools.product(pos, neg):
-        sp, sn = qp.coeffs[edge_index], -qn.coeffs[edge_index]
-        coeffs = [sn * a + sp * b for a, b in zip(qp.coeffs, qn.coeffs)]
-        assert coeffs[edge_index] == 0
-        if not any(coeffs):
-            continue
-        candidates.add(LinearInequality.canonical(drop_var(tuple(coeffs)),
-                                                  sn * qp.rhs + sp * qn.rhs))
-    dim = len(newg.edges)
-    kept = [q for q in sorted(candidates, key=lambda q: (q.coeffs, q.rhs))
-            if all(abs(c) <= 1 for c in q.coeffs)  # facets here have +-1 entries
-            and _is_facet_over(vectors, q, dim)]
-    return InequalitySystem.of(newg, kept)
+def _add_candidates(found: set, rows: np.ndarray, rhs: np.ndarray,
+                    col: int) -> None:
+    """Add the canonical {-1, 0, 1} forms of rows . x <= rhs, with column
+    col dropped, to found; rows left all zero are skipped."""
+    rows = np.delete(rows, col, axis=1)
+    nonzero = rows.any(axis=1)
+    rows, rhs = rows[nonzero], rhs[nonzero]
+    div = np.gcd(np.gcd.reduce(np.abs(rows), axis=1), np.abs(rhs))
+    rows, rhs = rows // div[:, None], rhs // div
+    small = (np.abs(rows) <= 1).all(axis=1)
+    found.update(zip(map(tuple, rows[small].tolist()), rhs[small].tolist()))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import cutpoly
-from cutpoly import cli, format_graph, parse_graph
+from cutpoly import cli, format_graph, parse_graph, polytope
 from cutpoly.cli import main
 from helpers import complete, cycle, double_k5, k33, path
 
@@ -139,6 +139,17 @@ def test_internal_error_exit_code(k5_file, monkeypatch, capsys):
     assert err.startswith("internal error: AssertionError")
 
 
+def test_certification_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a projection that never drops its variable fails the final check
+    f = tmp_path / "double_k5.cut"
+    f.write_text(format_graph(double_k5()))
+    monkeypatch.setattr(polytope, "fourier_motzkin_project",
+                        lambda system, _idx: system)
+    code, out, err = run_cli(["facets", str(f)], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: CertificationError")
+
+
 def test_verify_unsupported_class(tmp_path, capsys):
     f = tmp_path / "k6.cut"
     f.write_text(format_graph(complete(6)))
@@ -175,12 +186,27 @@ def test_gen_options_and_verify_round_trip(tmp_path, capsys):
     assert code == 0, out
 
 
-def test_console_script_installed():
+def run_module(*args):
     # the child finds the same cutpoly as this process, installed or not
     src = str(Path(cutpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "cutpoly.cli", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_script_installed():
+    proc = run_module("-m", "cutpoly.cli", "--help")
     # argparse prints usage and exits 0 for --help
     assert proc.returncode == 0 and "maxcut" in proc.stdout
+
+
+def test_facets_same_without_asserts(tmp_path):
+    """Certification is explicit code, so `python -O` prints the same."""
+    f = tmp_path / "double_k5.cut"  # non-strict K5+K5: needs projection
+    f.write_text(format_graph(double_k5()))
+    plain = run_module("-m", "cutpoly.cli", "facets", str(f))
+    optimized = run_module("-O", "-m", "cutpoly.cli", "facets", str(f))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout.startswith("dim 18 count ")
+    assert optimized.stdout == plain.stdout
