@@ -154,26 +154,27 @@ def brute_classify(g: Graph) -> tuple[bool, bool]:
     simple: every vertex on exactly |E| facets; simplicial: every facet
     contains exactly |E| vertices.  Guards: |E| <= 12, <= 64 cuts.
     """
+    vectors = guarded_cut_vectors(g)
+    return hull_verdicts(vectors, brute_hull(vectors))
+
+
+def guarded_cut_vectors(g: Graph) -> list[tuple[int, ...]]:
+    """The cut vectors of g, once brute_classify's guards admit g."""
     g = _drop_isolated(g)
-    m = len(g.edges)
-    if m > 12:
+    if len(g.edges) > 12:
         raise SizeLimitError("brute_classify guard: |E| <= 12")
     vectors = cut_vectors(g)
     if len(vectors) > 64:
         raise SizeLimitError("brute_classify guard: <= 64 cuts")
-    if m == 0:
-        return True, True
-    facets = brute_hull(vectors)
-    simple = True
-    for x in vectors:
-        count = sum(1 for q in facets if q.evaluate(x) == q.rhs)
-        if count != m:
-            simple = False
-            break
-    simplicial = True
-    for q in facets:
-        count = sum(1 for x in vectors if q.evaluate(x) == q.rhs)
-        if count != m:
-            simplicial = False
-            break
+    return vectors
+
+
+def hull_verdicts(vectors, facets) -> tuple[bool, bool]:
+    """(simple, simplicial) from the incidences of the cut vectors of a
+    graph with the facets of their hull."""
+    m = len(vectors[0])
+    simple = all(sum(q.evaluate(x) == q.rhs for q in facets) == m
+                 for x in vectors)
+    simplicial = all(sum(q.evaluate(x) == q.rhs for x in vectors) == m
+                     for q in facets)
     return simple, simplicial

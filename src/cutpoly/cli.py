@@ -14,7 +14,8 @@ import traceback
 
 from .graphs import (Graph, NotTwoConnectedError, ParseError,
                      SizeLimitError, cut_vectors, format_graph, parse_graph)
-from .classify import brute_classify, classify as classify_graph
+from .classify import (classify as classify_graph, guarded_cut_vectors,
+                       hull_verdicts)
 from .generate import GeneratorSpec, gen_k33free
 from .maxcut import maxcut as solve_maxcut, maxcut_bruteforce
 from . import polytope as polytope_mod
@@ -99,6 +100,9 @@ def cmd_verify(args) -> int:
     g = _read_graph(args.file)
     lines: list[str] = []
     failed = False
+    # the facets stage builds the hull when both stages' guards admit g,
+    # and the classify stage reuses it
+    vectors = hull = None
 
     try:
         exact = solve_maxcut(g)
@@ -123,9 +127,9 @@ def cmd_verify(args) -> int:
                 lines.append("facets MISMATCH against provided file")
             else:
                 lines.append(f"facets ok count {len(system.inequalities)}")
-        elif len(g.edges) <= 12 and len(cut_vectors(g)) <= 64:
-            hull = set(polytope_mod.brute_hull(cut_vectors(g)))
-            if hull != set(system.inequalities):
+        elif len(g.edges) <= 12 and len(vectors := cut_vectors(g)) <= 64:
+            hull = polytope_mod.brute_hull(vectors)
+            if set(hull) != set(system.inequalities):
                 failed = True
                 lines.append(f"facets MISMATCH {len(system.inequalities)} "
                              f"vs hull {len(hull)}")
@@ -138,7 +142,10 @@ def cmd_verify(args) -> int:
 
     try:
         rep = classify_graph(g)
-        bs, bsl = brute_classify(g)
+        if hull is None:
+            vectors = guarded_cut_vectors(g)
+            hull = polytope_mod.brute_hull(vectors)
+        bs, bsl = hull_verdicts(vectors, hull)
         if (rep.simple, rep.simplicial) != (bs, bsl):
             failed = True
             lines.append("classify MISMATCH against hull incidences")

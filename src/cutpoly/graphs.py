@@ -236,6 +236,26 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def disjoint_sets(count: int, pairs) -> list[list[int]]:
+    """Classes of 0..count-1 under the union of the given pairs (repeated
+    pairs and pairs (x, x) are fine), by union-find with path halving.
+    Each class is sorted; classes come in order of their smallest item."""
+    parent = list(range(count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    classes: dict[int, list[int]] = {}
+    for x in range(count):
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
@@ -407,6 +427,30 @@ def chordless_cycles(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda c: (len(c), c))
 
 
+def initial_cycle(g: Graph) -> list[int]:
+    """The cycle closed by the first back edge of a DFS from node 0, as a
+    node walk from the back edge's ancestor end (in an undirected DFS the
+    first non-tree edge always reaches an ancestor)."""
+    parent = {0: -1}
+    dfs = [(0, iter(g.neighbors(0)))]
+    while dfs:
+        x, it = dfs[-1]
+        for y, _i in it:
+            if y == parent[x]:
+                continue
+            if y in parent:
+                walk = [x]
+                while walk[-1] != y:
+                    walk.append(parent[walk[-1]])
+                return list(reversed(walk))
+            parent[y] = x
+            dfs.append((y, iter(g.neighbors(y))))
+            break
+        else:
+            dfs.pop()
+    raise NotTwoConnectedError("no cycle through the component of node 0")
+
+
 def ear_decomposition(g: Graph) -> list[list[int]]:
     """Open ear decomposition of a 2-connected graph.
 
@@ -416,30 +460,7 @@ def ear_decomposition(g: Graph) -> list[list[int]]:
     """
     if not is_k_connected(g, 2):
         raise NotTwoConnectedError("ear decomposition needs a 2-connected graph")
-    # initial cycle: first back edge of a DFS from node 0 (in an undirected
-    # DFS the first flagged non-tree edge always reaches an ancestor)
-    parent = {0: -1}
-    dfs = [(0, iter(g.neighbors(0)))]
-    cycle: list[int] | None = None
-    while dfs and cycle is None:
-        x, it = dfs[-1]
-        advanced = False
-        for y, _i in it:
-            if y == parent[x]:
-                continue
-            if y in parent:
-                walk = [x]
-                while walk[-1] != y:
-                    walk.append(parent[walk[-1]])
-                cycle = list(reversed(walk))
-                break
-            parent[y] = x
-            dfs.append((y, iter(g.neighbors(y))))
-            advanced = True
-            break
-        if cycle is None and not advanced:
-            dfs.pop()
-    assert cycle is not None
+    cycle = initial_cycle(g)
     pieces = [cycle]
     in_h = set(cycle)
     used = {g.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])

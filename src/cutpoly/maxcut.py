@@ -14,14 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (Cut, Graph, GraphError, NotTwoConnectedError,
-                     SizeLimitError, blocks, compact_graph,
-                     connected_components, cut_from_side, cut_weight,
-                     is_k_connected)
+from .graphs import (CertificationError, Cut, Graph, GraphError,
+                     NotTwoConnectedError, SizeLimitError, blocks,
+                     compact_graph, connected_components, cut_from_side,
+                     cut_weight, is_k_connected)
 from . import planar as planar_mod
 from . import spqr as spqr_mod
 from . import tjoin as tjoin_mod
 from .spqr import K33MinorError
+
+
+# entries per temporary array in maxcut_bruteforce, which bounds its memory
+_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,54 +52,52 @@ class EliminationStep:
     side_out: frozenset[int] = field(repr=False, default=frozenset())
 
 
-def maxcut_bruteforce(g: Graph) -> MaxCutResult:
+def maxcut_bruteforce(g: Graph,
+                      forced: tuple[int, bool] | None = None) -> MaxCutResult:
     """Exact optimum by enumerating all cuts (guard: 24 nodes).
 
-    Ties break toward the lexicographically smallest canonical side.
+    `forced` = (edge index, in_cut) keeps only the cuts that put that edge
+    in (or out of) the cut.  Ties break toward the smallest side mask
+    (node v is bit v; node 0 is never in the side), the order of
+    `enumerate_cuts`.  Sides are evaluated in chunks as one product of
+    crossing indicators with the weights, in int64, or in Python integers
+    when the weights could overflow it.
     """
     n = g.node_count
     if n > 24:
         raise SizeLimitError("maxcut_bruteforce guard: node_count <= 24")
     if n == 0 or not g.edges:
         return MaxCutResult(0, cut_from_side(g, []))
+    dtype = np.int64 if g.abs_weight() < 1 << 63 else object
+    us, vs = np.array([(u, v) for u, v, _w in g.edges]).T
+    ws = np.array([w for _u, _v, w in g.edges], dtype=dtype)
     count = 1 << (n - 1)
-    if count * max(1, len(g.edges)) <= 1 << 28 and g.abs_weight() < 1 << 50:
-        masks = np.arange(count, dtype=np.int64)
-        zeros = np.zeros(count, dtype=np.int64)
-        values = np.zeros(count, dtype=np.int64)
-        for u, v, w in g.edges:
-            bu = (masks >> (u - 1)) & 1 if u > 0 else zeros
-            bv = (masks >> (v - 1)) & 1 if v > 0 else zeros
-            values += w * (bu ^ bv)
-        best = int(values.max())
-        ties = np.flatnonzero(values == best)
-        side = min(tuple(sorted(_mask_nodes(int(t)))) for t in ties)
-        cut = cut_from_side(g, side)
-    else:
-        best = None
-        bestside: tuple[int, ...] | None = None
-        for t in range(count):
-            side = _mask_nodes(t)
-            c = cut_from_side(g, side)
-            w = cut_weight(g, c)
-            key = tuple(sorted(side))
-            if best is None or w > best or (w == best and key < bestside):
-                best, bestside = w, key
-        cut = cut_from_side(g, bestside)
-    assert cut_weight(g, cut) == best
-    return MaxCutResult(best, cut)
+    step = max(1, _CELLS // len(g.edges))
+    best, best_side = None, 0
+    for start in range(0, count, step):
+        sides = np.arange(start, min(count, start + step), dtype=np.int64) << 1
+        cross = ((sides[:, None] >> us) ^ (sides[:, None] >> vs)) & 1
+        if forced is not None:
+            keep = cross[:, forced[0]] == forced[1]
+            sides, cross = sides[keep], cross[keep]
+        if len(sides):
+            values = cross.astype(dtype, copy=False) @ ws
+            top = int(np.argmax(values))
+            if best is None or values[top] > best:
+                best, best_side = int(values[top]), int(sides[top])
+    cut = cut_from_side(g, [v for v in range(n) if best_side >> v & 1])
+    return _certified(g, best, cut, forced)
 
 
-def _mask_nodes(t: int) -> tuple[int, ...]:
-    # bit i of t selects node i+1 (node 0 stays outside the side)
-    out = []
-    v = 1
-    while t:
-        if t & 1:
-            out.append(v)
-        t >>= 1
-        v += 1
-    return tuple(out)
+def _certified(g: Graph, value: int, cut: Cut,
+               forced: tuple[int, bool] | None) -> MaxCutResult:
+    """The result, once its witness is re-costed to the value and keeps
+    the forced edge where it was pinned."""
+    if forced is not None and (cut.indicator >> forced[0] & 1) != forced[1]:
+        raise CertificationError("witness does not respect the forced edge")
+    if cut_weight(g, cut) != value:
+        raise CertificationError("witness weight does not match the value")
+    return MaxCutResult(value, cut)
 
 
 class NonPlanarError(GraphError):
@@ -126,15 +128,7 @@ def planar_maxcut(g: Graph,
     if emb is None:
         raise NonPlanarError("planar_maxcut needs a planar graph")
     value, cut = _dual_tjoin_maxcut(emb)
-    value -= shift
-    if forced is not None:
-        idx, in_cut = forced
-        assert ((cut.indicator >> idx) & 1) == int(in_cut), "forcing failed"
-        value2 = cut_weight(g, cut)
-        assert value2 == value, "witness weight drift"
-    else:
-        assert cut_weight(g, cut) == value
-    return MaxCutResult(value, cut)
+    return _certified(g, value - shift, cut, forced)
 
 
 def _dual_tjoin_maxcut(emb: planar_mod.Embedding) -> tuple[int, Cut]:
@@ -168,29 +162,9 @@ def _two_color(g: Graph, cut_edges: set[int]) -> Cut:
                 if color[y] == -1:
                     color[y] = c
                     stack.append(y)
-                else:
-                    assert color[y] == c, "cut edge set is not a cut"
+                elif color[y] != c:
+                    raise CertificationError("cut edge set is not a cut")
     return cut_from_side(g, [v for v in range(g.node_count) if color[v] == 1])
-
-
-def _dense_maxcut(g: Graph,
-                  forced: tuple[int, bool] | None = None) -> tuple[int, frozenset[int]]:
-    """Cut enumeration for tiny skeletons (K5 leaves: 16 cuts)."""
-    best = None
-    best_side: frozenset[int] | None = None
-    n = g.node_count
-    for t in range(1 << (n - 1)):
-        side = _mask_nodes(t)
-        c = cut_from_side(g, side)
-        if forced is not None:
-            idx, in_cut = forced
-            if ((c.indicator >> idx) & 1) != int(in_cut):
-                continue
-        w = cut_weight(g, c)
-        if best is None or w > best:
-            best, best_side = w, frozenset(side)
-    assert best is not None
-    return best, best_side
 
 
 # -- SPR-tree elimination ----------------------------------------------------
@@ -285,11 +259,10 @@ class EliminationState:
             a, b, in_cut = forced_virtual
             forced = (sg.edge_index(to_sub[a], to_sub[b]), in_cut)
         if sg.node_count == 5 and len(sg.edges) == 10:
-            value, side = _dense_maxcut(sg, forced)
+            res = maxcut_bruteforce(sg, forced)
         else:
             res = planar_maxcut(sg, forced)
-            value, side = res.value, frozenset(res.cut.side_nodes())
-        return value, frozenset(back[v] for v in side)
+        return res.value, frozenset(back[v] for v in res.cut.side_nodes())
 
     # -- the elimination step ------------------------------------------------
 
@@ -343,8 +316,9 @@ class EliminationState:
                 local[v] = 1
             if local[a] != assign[a]:
                 local = {v: 1 - c for v, c in local.items()}
-            assert local[a] == assign[a] and local[b] == assign[b], \
-                "leaf witness disagrees at the virtual edge"
+            if local[b] != assign[b]:  # local[a] agrees after the flip
+                raise CertificationError(
+                    "leaf witness disagrees at the virtual edge")
             for v, c in local.items():
                 if v not in (a, b):
                     assign[v] = c
@@ -389,8 +363,7 @@ def maxcut(g: Graph, order=None) -> MaxCutResult:
                     assign[v] = c
             placed |= bnodes
     cut = cut_from_side(g, [v for v, c in assign.items() if c == 1])
-    assert cut_weight(g, cut) == total, "witness does not match value"
-    return MaxCutResult(total, cut)
+    return _certified(g, total, cut, None)
 
 
 def _solve_block(g: Graph, bnodes: frozenset[int], bedges: tuple[int, ...],

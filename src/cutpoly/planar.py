@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, blocks, compact_graph, is_connected
+from .graphs import (Graph, GraphError, blocks, compact_graph, initial_cycle,
+                     is_connected)
 
 
 class DisconnectedError(GraphError):
@@ -43,30 +44,7 @@ def _embed_biconnected(g: Graph) -> list[list[int]] | None:
     Faces are vertex cycles; across all faces every directed edge occurs
     exactly once.
     """
-    # initial cycle via DFS first back edge
-    parent = {0: -1}
-    dfs = [(0, iter(g.neighbors(0)))]
-    cycle: list[int] | None = None
-    while dfs and cycle is None:
-        x, it = dfs[-1]
-        advanced = False
-        for y, _i in it:
-            if y == parent[x]:
-                continue
-            if y in parent:
-                walk = [x]
-                while walk[-1] != y:
-                    walk.append(parent[walk[-1]])
-                cycle = list(reversed(walk))
-                break
-            parent[y] = x
-            dfs.append((y, iter(g.neighbors(y))))
-            advanced = True
-            break
-        if cycle is None and not advanced:
-            dfs.pop()
-    assert cycle is not None, "2-connected graph must contain a cycle"
-
+    cycle = initial_cycle(g)
     faces: list[list[int]] = [list(cycle), list(reversed(cycle))]
     embedded = {g.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])
                 for i in range(len(cycle))}

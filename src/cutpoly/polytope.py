@@ -3,8 +3,10 @@
 Inequality classes (edge, cycle, metric, the K5 inequality), switching,
 facet certification against enumerated cuts, complete facet descriptions
 for K5-minor-free and K33-minor-free graphs, variable elimination for edge
-deletions, and an exact convex-hull oracle (double description over
-rationals).
+deletions, and an exact convex-hull oracle (double description on
+primitive integer rays).  Exact linear algebra (`affine_rank`, and the
+starting basis and rays of the hull oracle) is one fraction-free
+integer elimination, `_eliminate`.
 
 Facet certification (`is_facet`, and every Fourier-Motzkin projection)
 decides a batch of candidate inequalities in three steps, all exact:
@@ -24,7 +26,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -300,33 +301,45 @@ def affine_rank(points) -> int:
     if not pts:
         return -1
     base = pts[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
-    return _int_rank(rows)
+    return len(_eliminate([[a - b for a, b in zip(p, base)] for p in pts[1:]]))
 
 
-def _int_rank(rows) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < cols and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
+def _eliminate(rows: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in
+    place.
+
+    Returns the pivot columns in order; pivot k ends in rows[k], and the
+    pivot columns end diagonal, zero above and below each pivot.  Bareiss's
+    step with pivot p after pivot d sets row := (p * row - f * pivot_row)
+    / d, f the row's entry in the pivot column, and each division is exact
+    because every entry stays a minor of the input.  A row with f = 0
+    would only be rescaled by p / d, so it is skipped, and divided later by
+    the pivot it was last brought to; each row thus ends as its Bareiss row
+    times a nonzero factor.
+    """
+    pivots: list[int] = []
+    scale = [1] * len(rows)  # the pivot each row was last brought to
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pick = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pick is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                a, b = pr[col], rows[r][col]
-                g = gcd(abs(a), abs(b))
-                fa, fb = b // g, a // g
-                rows[r] = [fb * x - fa * y for x, y in zip(rows[r], pr)]
-        rank += 1
-        col += 1
-    return rank
+        rows[r], rows[pick] = rows[pick], rows[r]
+        scale[r], scale[pick] = scale[pick], scale[r]
+        top = [x * prev // scale[r] for x in rows[r]]
+        prev = top[col]
+        rows[r], scale[r] = top, prev
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if f and i != r:
+                rows[i] = [(prev * x - f * y) // scale[i]
+                           for x, y in zip(rows[i], top)]
+                scale[i] = prev
+        pivots.append(col)
+    return pivots
 
 
 def polytope_dim(g: Graph) -> int:
@@ -389,26 +402,24 @@ def _dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]]:
     adjacency of rays is decided combinatorially on exact tight sets.
     """
     d = len(rows[0])
-    basis: list[int] = []
-    mat: list[list[Fraction]] = []
-    for i, r in enumerate(rows):
-        cand = [row[:] for row in mat] + [[Fraction(x) for x in r]]
-        if _frac_rank(cand) == len(cand):
-            basis.append(i)
-            mat.append([Fraction(x) for x in r])
-        if len(basis) == d:
-            break
-    if len(basis) != d:
+    # Eliminate [rows^T | I].  The pivot columns among the rows are the
+    # first basis B in row order.  The row operations E make E B^T
+    # diagonal, so row j of E, the identity block, is its pivot entry
+    # times row j of (B^T)^-1, which is column j of B^-1.
+    work = [[r[j] for r in rows] + [int(i == j) for i in range(d)]
+            for j in range(d)]
+    basis = _eliminate(work)
+    if len(basis) != d or basis[-1] >= len(rows):
         raise CertificationError("constraint rows must span the space")
-    inv = _invert(mat)
     done = list(basis)
 
     def dot(i: int, vec: tuple[int, ...]) -> int:
         return sum(a * b for a, b in zip(rows[i], vec))
 
     rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
-    for j in range(d):
-        vec = _primitive([-inv[i][j] for i in range(d)])
+    for j, row in enumerate(work):
+        sign = 1 if row[basis[j]] > 0 else -1
+        vec = _primitive([-sign * x for x in row[len(rows):]])
         rays.append((vec, frozenset(i for i in done if dot(i, vec) == 0)))
     for idx, row in enumerate(rows):
         if idx in basis:
@@ -438,52 +449,10 @@ def _dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]]:
 
 
 def _primitive(vec) -> tuple[int, ...]:
-    denom = 1
-    fracs = [Fraction(v) for v in vec]
-    for v in fracs:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    g = gcd(*vec)
     if g == 0:
         raise CertificationError("zero ray")
-    return tuple(c // g for c in ints)
-
-
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    col = 0
-    while col < cols and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    d = len(mat)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(d)]
-         for i, row in enumerate(mat)]
-    for col in range(d):
-        pivot = next(r for r in range(col, d) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        for r in range(d):
-            if r != col and a[r][col] != 0:
-                fr = a[r][col]
-                a[r] = [x - fr * y for x, y in zip(a[r], a[col])]
-    return [row[d:] for row in a]
+    return tuple(c // g for c in vec)
 
 
 # -- complete facet descriptions -----------------------------------------------

@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import (Graph, GraphError, NotTwoConnectedError, blocks,
-                     compact_graph, is_connected, is_k_connected)
+                     compact_graph, disjoint_sets, is_connected,
+                     is_k_connected)
 from . import planar as planar_mod
 
 
@@ -94,29 +95,13 @@ def _split_classes(nodes: list[int], edges: list[tuple[int, int, tuple]],
                    v: int, w: int) -> list[list[int]]:
     """Split classes of pair {v, w}: edge-index groups connected through
     internal nodes outside {v, w}.  Each parallel v-w edge is a singleton."""
-    parent = list(range(len(edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    at_node: dict[int, int] = {}
+    first_edge: dict[int, int] = {}
+    pairs = []
     for i, (a, b, _t) in enumerate(edges):
         for x in (a, b):
-            if x in (v, w):
-                continue
-            if x in at_node:
-                ra, rb = find(at_node[x]), find(i)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                at_node[x] = i
-    groups: dict[int, list[int]] = {}
-    for i in range(len(edges)):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
+            if x not in (v, w):
+                pairs.append((first_edge.setdefault(x, i), i))
+    return disjoint_sets(len(edges), pairs)
 
 
 def _split_candidates(nodes: list[int], edges: list[tuple[int, int, tuple]],

@@ -14,7 +14,7 @@ import heapq
 import itertools
 from fractions import Fraction
 
-from .graphs import GraphError
+from .graphs import CertificationError, GraphError, disjoint_sets
 
 
 class MatchingError(GraphError):
@@ -327,7 +327,8 @@ class _Blossom:
                     delta = cand
         if delta is None:
             return False
-        assert delta >= 0, "negative delta breaks dual feasibility"
+        if delta < 0:
+            raise CertificationError("negative delta breaks dual feasibility")
         for v in range(self.n):
             if lbl[v] == self.S:
                 self.y[v] -= delta
@@ -368,7 +369,7 @@ def min_weight_t_join(node_count: int,
         raise TJoinError("terminal set must have even size")
     if node_count == 0:
         return (), 0
-    if not _connected(node_count, edges):
+    if len(disjoint_sets(node_count, [e[:2] for e in edges])) > 1:
         raise TJoinError("T-join needs a connected graph")
     for u, v in ((u, v) for u, v, _w in edges):
         if not (0 <= u < node_count and 0 <= v < node_count):
@@ -403,24 +404,9 @@ def min_weight_t_join(node_count: int,
         if u != v:
             deg[u] ^= 1
             deg[v] ^= 1
-    assert {v for v in range(node_count) if deg[v]} == tset, "join parity broken"
+    if {v for v in range(node_count) if deg[v]} != tset:
+        raise CertificationError("join parity broken")
     return tuple(sorted(join)), total
-
-
-def _connected(node_count: int, edges) -> bool:
-    if node_count <= 1:
-        return True
-    parent = list(range(node_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _w in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(node_count)}) == 1
 
 
 def _terminal_paths(node_count, edges, terminals):

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import cutpoly
-from cutpoly import cli, format_graph, parse_graph, polytope
+from cutpoly import Graph, cli, format_graph, parse_graph, polytope
 from cutpoly.cli import main
+from cutpoly.maxcut import EliminationState
 from helpers import complete, cycle, double_k5, k33, path
 
 
@@ -150,6 +151,20 @@ def test_certification_error_exit_code(tmp_path, monkeypatch, capsys):
     assert err.startswith("internal error: CertificationError")
 
 
+def test_wrong_witness_exit_code(k5_file, monkeypatch, capsys):
+    # a witness that puts every node on one side fails its re-costing
+    finish = EliminationState.finish
+
+    def wrong(self):
+        total, assign = finish(self)
+        return total, dict.fromkeys(assign, 0)
+
+    monkeypatch.setattr(EliminationState, "finish", wrong)
+    code, out, err = run_cli(["maxcut", k5_file, "--witness"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: CertificationError")
+
+
 def test_verify_unsupported_class(tmp_path, capsys):
     f = tmp_path / "k6.cut"
     f.write_text(format_graph(complete(6)))
@@ -203,10 +218,16 @@ def test_console_script_installed():
 
 def test_facets_same_without_asserts(tmp_path):
     """Certification is explicit code, so `python -O` prints the same."""
-    f = tmp_path / "double_k5.cut"  # non-strict K5+K5: needs projection
-    f.write_text(format_graph(double_k5()))
-    plain = run_module("-m", "cutpoly.cli", "facets", str(f))
-    optimized = run_module("-O", "-m", "cutpoly.cli", "facets", str(f))
-    assert plain.returncode == optimized.returncode == 0
-    assert plain.stdout.startswith("dim 18 count ")
-    assert optimized.stdout == plain.stdout
+    double = tmp_path / "double_k5.cut"  # non-strict K5+K5: needs projection
+    double.write_text(format_graph(double_k5()))
+    ear = tmp_path / "k5_ear.cut"  # small enough for the hull oracle
+    ear.write_text(format_graph(Graph(6, list(complete(5).edges)
+                                      + [(0, 5, 2), (1, 5, -1)])))
+    for args, head in ((["facets", str(double)], "dim 18 count "),
+                       (["maxcut", "--witness", str(double)], "value 12\n"),
+                       (["verify", str(ear)], "maxcut ok value ")):
+        plain = run_module("-m", "cutpoly.cli", *args)
+        optimized = run_module("-O", "-m", "cutpoly.cli", *args)
+        assert plain.returncode == optimized.returncode == 0, args
+        assert plain.stdout.startswith(head), plain.stdout
+        assert optimized.stdout == plain.stdout
