@@ -114,24 +114,21 @@ def planar_maxcut(g: Graph,
     """
     if not is_k_connected(g, 2):
         raise NotTwoConnectedError("planar_maxcut needs a 2-connected graph")
-    weights = [w for _u, _v, w in g.edges]
-    shift = 0
-    if forced is not None:
-        idx, in_cut = forced
-        big = 1 + g.abs_weight()
-        if in_cut:
-            weights[idx] += big
-            shift = big
-        else:
-            weights[idx] -= big
-    emb = planar_mod.planar_embed(g.reweighted(weights))
+    emb = planar_mod.planar_embed(g)
     if emb is None:
         raise NonPlanarError("planar_maxcut needs a planar graph")
-    value, cut = _dual_tjoin_maxcut(emb)
-    return _certified(g, value - shift, cut, forced)
+    (res,) = _embedded_maxcuts(emb, [forced])
+    return res
 
 
-def _dual_tjoin_maxcut(emb: planar_mod.Embedding) -> tuple[int, Cut]:
+def _embedded_maxcuts(emb: planar_mod.Embedding,
+                      forceds: list[tuple[int, bool] | None],
+                      ) -> list[MaxCutResult]:
+    """`planar_maxcut` of the embedded graph once per entry of `forceds`.
+
+    The entries share one dual graph and its terminal set (the odd faces),
+    since only the edge weights differ; each runs its own dual T-join.
+    """
     g = emb.graph
     dual = planar_mod.dual_graph(emb)
     deg = [0] * dual.node_count
@@ -139,13 +136,25 @@ def _dual_tjoin_maxcut(emb: planar_mod.Embedding) -> tuple[int, Cut]:
         deg[fa] += 1
         deg[fb] += 1
     terminals = {f for f in range(dual.node_count) if deg[f] % 2}
-    dedges = [(fa, fb, w) for fa, fb, _i, w in dual.edges]
-    join, join_total = tjoin_mod.min_weight_t_join(dual.node_count, dedges,
-                                                   terminals)
-    value = g.total_weight() - join_total
-    in_cut = set(range(len(g.edges))) - set(join)
-    cut = _two_color(g, in_cut)
-    return value, cut
+    results = []
+    for forced in forceds:
+        weights = [w for _u, _v, w in g.edges]
+        shift = 0
+        if forced is not None:
+            idx, in_cut = forced
+            big = 1 + g.abs_weight()
+            if in_cut:
+                weights[idx] += big
+                shift = big
+            else:
+                weights[idx] -= big
+        dedges = [(fa, fb, weights[i]) for fa, fb, i, _w in dual.edges]
+        join, join_total = tjoin_mod.min_weight_t_join(
+            dual.node_count, dedges, terminals)
+        value = sum(weights) - join_total - shift
+        cut = _two_color(g, set(range(len(g.edges))) - set(join))
+        results.append(_certified(g, value, cut, forced))
+    return results
 
 
 def _two_color(g: Graph, cut_edges: set[int]) -> Cut:
@@ -172,16 +181,20 @@ def _two_color(g: Graph, cut_edges: set[int]) -> Cut:
 class EliminationState:
     """Working state of one 2-connected block during leaf elimination.
 
-    Holds the block's SPR tree as built (`tree`, before augmentation), the
-    augmented graph's current edge weights, the shrinking tree, and the
-    recorded steps.  Mutated in place by eliminate(); finish()
-    solves the last component and returns (value, node side set).
+    Holds the block's SPR tree as built (`tree`, before augmentation),
+    each R skeleton's class and embedding (`r_skeletons`, built once and
+    reused by every solve of that skeleton), the augmented graph's current
+    edge weights, the shrinking tree, and the recorded steps.  Mutated in
+    place by eliminate(); finish() solves the last component and returns
+    (value, node side set).
     """
 
     def __init__(self, block: Graph):
         if len(block.edges) < 3:
             raise GraphError("elimination needs a block with >= 3 edges")
         self.tree = spqr_mod.spr_tree(block)
+        self.r_skeletons = {sn.id: spqr_mod._classify_r_skeleton(sn)
+                            for sn in self.tree.nodes if sn.kind == "R"}
         aug, tree = spqr_mod.augment_with_parallel_originals(block, self.tree)
         self.graph = aug
         self.weight: dict[int, int] = {i: w for i, (_u, _v, w) in enumerate(aug.edges)}
@@ -239,12 +252,12 @@ class EliminationState:
 
     # -- solving one skeleton ----------------------------------------------
 
-    def _skeleton_cut(self, sid: int,
-                      forced_virtual: tuple[int, int, bool] | None,
-                      ) -> tuple[int, frozenset[int]]:
-        """Best cut of a skeleton graph; virtual edges take the current
-        weight of their parallel originals.  Returns value and the global
-        node side."""
+    def _skeleton_cuts(self, sid: int,
+                       forced_virtuals: list[tuple[int, int, bool] | None],
+                       ) -> list[tuple[int, frozenset[int]]]:
+        """Best cut of a skeleton graph once per entry of
+        `forced_virtuals`; virtual edges take the current weight of their
+        parallel originals.  Returns (value, global node side) pairs."""
         edges = []
         for e in self.skel_edges[sid]:
             if e.kind == "orig":
@@ -254,15 +267,31 @@ class EliminationState:
         nodes = [x for e in self.skel_edges[sid] for x in (e.u, e.v)]
         sg, to_sub = compact_graph(nodes, edges)
         back = {i: v for v, i in to_sub.items()}
-        forced = None
-        if forced_virtual is not None:
-            a, b, in_cut = forced_virtual
-            forced = (sg.edge_index(to_sub[a], to_sub[b]), in_cut)
+        forceds = [None if fv is None else
+                   (sg.edge_index(to_sub[fv[0]], to_sub[fv[1]]), fv[2])
+                   for fv in forced_virtuals]
         if sg.node_count == 5 and len(sg.edges) == 10:
-            res = maxcut_bruteforce(sg, forced)
+            results = [maxcut_bruteforce(sg, forced) for forced in forceds]
         else:
-            res = planar_maxcut(sg, forced)
-        return res.value, frozenset(back[v] for v in res.cut.side_nodes())
+            results = _embedded_maxcuts(self._embedding(sid, sg), forceds)
+        return [(res.value, frozenset(back[v] for v in res.cut.side_nodes()))
+                for res in results]
+
+    def _embedding(self, sid: int, sg: Graph) -> planar_mod.Embedding:
+        """Embedding of skeleton `sid`, compacted as `sg`.  An R skeleton
+        reuses the embedding its classification built, with each edge
+        renumbered through its node pair (R skeletons are simple, and
+        their node pairs survive elimination); an S cycle is embedded
+        afresh."""
+        if sid not in self.r_skeletons:
+            return planar_mod.planar_embed(sg)
+        _cls, emb = self.r_skeletons[sid]
+        if emb is None:
+            raise NonPlanarError("skeleton is not planar")
+        pairs = emb.graph.edges
+        rotation = tuple(tuple(sg.edge_index(*pairs[i][:2]) for i in orbit)
+                         for orbit in emb.rotation)
+        return planar_mod.Embedding(sg, rotation, emb.face_count)
 
     # -- the elimination step ------------------------------------------------
 
@@ -277,8 +306,8 @@ class EliminationState:
         ab_edge = self._parallel_original(leaf, ve.ref)
         skel_nodes = frozenset(x for e in self.skel_edges[leaf]
                                for x in (e.u, e.v))
-        beta_plus, side_in = self._skeleton_cut(leaf, (a, b, True))
-        beta_minus, side_out = self._skeleton_cut(leaf, (a, b, False))
+        (beta_plus, side_in), (beta_minus, side_out) = self._skeleton_cuts(
+            leaf, [(a, b, True), (a, b, False)])
         gamma = beta_plus - beta_minus
         self.weight[ab_edge] = gamma
         self.base += beta_minus
@@ -302,7 +331,7 @@ class EliminationState:
             # cannot happen: a P with one tree edge dissolves, with zero it
             # would have been the whole tree of a bond (not a simple graph)
             raise AssertionError("final node cannot be a P bundle")
-        value, side = self._skeleton_cut(sid, None)
+        ((value, side),) = self._skeleton_cuts(sid, [None])
         total = self.base + value
         assign = {v: 0 for e in self.skel_edges[sid] for v in (e.u, e.v)}
         for v in side:
@@ -377,7 +406,7 @@ def _solve_block(g: Graph, bnodes: frozenset[int], bedges: tuple[int, ...],
     back = {i: v for v, i in to_sub.items()}
     state = EliminationState(sub)
     for sn in state.tree.nodes:
-        if sn.kind == "R" and spqr_mod._classify_r_skeleton(sn) == "NonPlanar":
+        if sn.kind == "R" and state.r_skeletons[sn.id][0] == "NonPlanar":
             witness = spqr_mod._relabel_skeleton(sn, back, bedges)
             raise K33MinorError("graph has a K33 minor", witness)
     value, local = state.run(order)

@@ -319,17 +319,20 @@ def _skeleton_graph(sn: SkeletonNode) -> tuple[Graph, dict[int, int]]:
     return compact_graph(sn.nodes, [(e.u, e.v, e.weight) for e in sn.edges])
 
 
-def _classify_r_skeleton(sn: SkeletonNode) -> str:
+def _classify_r_skeleton(sn: SkeletonNode
+                         ) -> tuple[str, planar_mod.Embedding | None]:
+    """Class of an R skeleton, with the embedding of `_skeleton_graph(sn)`
+    that shows it planar (None for K5 and non-planar skeletons)."""
     sg, _ = _skeleton_graph(sn)
     n, m = sg.node_count, len(sg.edges)
     if n == 5 and m == 10:
-        return "K5"
+        return "K5", None
     emb = planar_mod.planar_embed(sg)
     if emb is None:
-        return "NonPlanar"
+        return "NonPlanar", None
     if m == 3 * n - 6:
-        return "PlanarTriangulation"
-    return "Planar"
+        return "PlanarTriangulation", emb
+    return "Planar", emb
 
 
 def _relabel_skeleton(sn: SkeletonNode, back: dict[int, int],
@@ -370,7 +373,7 @@ def k33_decompose(g: Graph) -> K33Decomposition:
             if sn.kind == "S":
                 comps.append((glob, "Cycle"))
             elif sn.kind == "R":
-                cls = _classify_r_skeleton(sn)
+                cls, _emb = _classify_r_skeleton(sn)
                 if cls == "NonPlanar":
                     if witness is None:
                         witness = glob
@@ -472,15 +475,12 @@ def maximal_completion(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
                 action = True
                 break
             if sn.kind == "R":
-                cls = _classify_r_skeleton(sn)
+                cls, emb = _classify_r_skeleton(sn)
                 if cls == "Planar":
-                    sg, to_sub = _skeleton_graph(sn)
-                    back = {i: v for v, i in to_sub.items()}
-                    emb = planar_mod.planar_embed(sg)
-                    assert emb is not None
+                    back = sorted(set(sn.nodes))  # _skeleton_graph's compaction
                     for face in planar_mod.faces_of(emb):
                         if len(face) > 3:
-                            walk = _face_nodes(sg, face)
+                            walk = _face_nodes(emb.graph, face)
                             add(*sorted((back[walk[0]], back[walk[2]])))
                             action = True
                             break

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import cutpoly
 from cutpoly import Graph, cli, format_graph, parse_graph, polytope
 from cutpoly.cli import main
 from cutpoly.maxcut import EliminationState
-from helpers import complete, cycle, double_k5, k33, path
+from helpers import complete, cycle, double_k5, k33, path, \
+    stacked_triangulation
 
 
 def run_cli(args, capsys):
@@ -223,8 +225,11 @@ def test_facets_same_without_asserts(tmp_path):
     ear = tmp_path / "k5_ear.cut"  # small enough for the hull oracle
     ear.write_text(format_graph(Graph(6, list(complete(5).edges)
                                       + [(0, 5, 2), (1, 5, -1)])))
+    tri = tmp_path / "tri16.cut"  # its dual T-join shrinks blossoms
+    tri.write_text(format_graph(stacked_triangulation(16, random.Random(1))))
     for args, head in ((["facets", str(double)], "dim 18 count "),
                        (["maxcut", "--witness", str(double)], "value 12\n"),
+                       (["maxcut", "--witness", str(tri)], "value 28\n"),
                        (["verify", str(ear)], "maxcut ok value ")):
         plain = run_module("-m", "cutpoly.cli", *args)
         optimized = run_module("-O", "-m", "cutpoly.cli", *args)

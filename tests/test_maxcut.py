@@ -128,7 +128,7 @@ def test_elimination_telescope():
     while not state.done():
         state.eliminate(state.eligible_leaves()[0])
     (final,) = state.adj
-    final_value, _side = state._skeleton_cut(final, None)
+    ((final_value, _side),) = state._skeleton_cuts(final, [None])
     value, _assign = state.run()
     assert state.base == sum(s.beta_minus for s in state.steps)
     assert value == state.base + final_value

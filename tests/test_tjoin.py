@@ -1,12 +1,21 @@
 import heapq
+import importlib
 import itertools
 import random
+import sys
 
 import pytest
 
-from cutpoly import (MatchingError, TJoinError, min_weight_perfect_matching,
-                     min_weight_t_join)
+from cutpoly import (GeneratorSpec, MatchingError, TJoinError, gen_k33free,
+                     maxcut, maxcut_bruteforce, min_weight_perfect_matching,
+                     min_weight_t_join, planar_embed)
+from cutpoly import planar as planar_mod
+from cutpoly import tjoin as tjoin_mod
+from cutpoly.tjoin import _Blossom
+from fraction_blossom import FractionBlossom
 from helpers import matching_oracle, tjoin_oracle
+
+maxcut_mod = importlib.import_module("cutpoly.maxcut")  # `maxcut` is the function
 
 
 def test_matching_two_points():
@@ -191,3 +200,164 @@ def test_tjoin_negative_transform_identity():
         t2 = terminals ^ {v for v in range(n) if flip[v]}
         _j2, total2 = min_weight_t_join(n, [(u, v, abs(w)) for u, v, w in edges], t2)
         assert total == neg_sum + total2
+
+
+# -- integer duals against the Fraction solver -----------------------------------
+
+def _dense_instances(count, seed):
+    """Seeded dense max-weight instances, n <= 20: ties, negative weights
+    and all-equal weights included."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n = rnd.choice(range(2, 21, 2))
+        lo, hi = rnd.choice([(0, 10), (-20, 20), (-5, 0), (0, 1), (0, 3),
+                             (7, 7), (-1000, 1000)])
+        w = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            w[i][j] = w[j][i] = rnd.randint(lo, hi)
+        yield w
+
+
+def test_integer_blossom_mates_equal_fraction_blossom():
+    for w in _dense_instances(1000, seed=5):
+        expect = FractionBlossom([row[:] for row in w]).solve()
+        assert _Blossom([row[:] for row in w]).solve() == expect, w
+
+
+def _tjoin_matrices(specs):
+    """The matrices `maxcut` hands to the matching on generated graphs."""
+    seen = []
+    real = tjoin_mod.min_weight_perfect_matching
+
+    def spy(weights):
+        seen.append([row[:] for row in weights])
+        return real(weights)
+
+    tjoin_mod.min_weight_perfect_matching = spy
+    try:
+        for spec in specs:
+            maxcut(gen_k33free(spec))
+    finally:
+        tjoin_mod.min_weight_perfect_matching = real
+    return seen
+
+
+def test_integer_blossom_on_tjoin_matrices():
+    specs = [GeneratorSpec(seed=s, component_count=1,
+                           kinds=("triangulation",), tri_size=(n, n))
+             for s, n in ((1, 16), (2, 20), (3, 24))]
+    specs += [GeneratorSpec(seed=s, component_count=6) for s in (4, 5)]
+    matrices = _tjoin_matrices(specs)
+    assert len(matrices) > 10 and max(map(len, matrices)) >= 20
+    shrunk = 0
+    for m in matrices:
+        w = [[-x for x in row] for row in m]
+        solver = _Blossom(w)
+        assert solver.solve() == FractionBlossom(w).solve()
+        shrunk += solver.next_id > solver.n
+    assert shrunk  # some instance built a blossom
+
+
+def test_matching_value_equals_networkx():
+    nx = pytest.importorskip("networkx")
+    for w in _dense_instances(200, seed=11):
+        n = len(w)
+        g = nx.Graph()
+        g.add_weighted_edges_from((i, j, -w[i][j]) for i, j in
+                                  itertools.combinations(range(n), 2))
+        best = nx.max_weight_matching(g, maxcardinality=True)
+        assert len(best) == n // 2
+        _pairs, total = min_weight_perfect_matching(w)
+        assert total == sum(w[i][j] for i, j in best)
+
+
+def _nested_blossoms(k):
+    """2k + 2 points whose optimum nests k blossoms: ring i joins the
+    blossom so far by two new points at weight 1000 - 10 i, and only the
+    innermost point likes the spare last point."""
+    n = 2 * k + 2
+    w = [[0] * n for _ in range(n)]
+    for i in range(1, k + 1):
+        for a, b in itertools.combinations(range(2 * i + 1), 2):
+            if b >= 2 * i - 1:
+                w[a][b] = w[b][a] = 1000 - 10 * i
+    w[0][n - 1] = w[n - 1][0] = 1
+    return w
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_rotate_needs_no_recursion():
+    w = _nested_blossoms(24)
+    expect = _Blossom([row[:] for row in w]).solve()
+    assert expect[0] == len(w) - 1  # the base moves to the innermost point
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 20)
+    try:
+        assert _Blossom([row[:] for row in w]).solve() == expect
+        with pytest.raises(RecursionError):  # the recursive rotation
+            FractionBlossom([row[:] for row in w]).solve()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_unmatched_vertex_raises(monkeypatch):
+    # the perfect-matching check is explicit code, not an assert
+    monkeypatch.setattr(_Blossom, "_run_phase", lambda self: None)
+    with pytest.raises(tjoin_mod.CertificationError):
+        min_weight_perfect_matching([[0, 1], [1, 0]])
+
+
+def test_odd_dual_raises():
+    # an odd doubled dual is refused, never floored
+    with pytest.raises(tjoin_mod.CertificationError):
+        _Blossom._half(3)
+    assert _Blossom._half(-4) == -2
+
+
+# -- one embedding per planar skeleton ------------------------------------------
+
+def test_shared_embedding_gives_fresh_betas(monkeypatch):
+    """beta+ and beta- from the classification's embedding equal those of
+    a fresh embedding of the reweighted skeleton, and of brute force."""
+    real = maxcut_mod._embedded_maxcuts
+    pairs = []
+
+    def check(emb, forceds):
+        results = real(emb, forceds)
+        fresh = real(planar_embed(emb.graph), forceds)
+        assert [r.value for r in results] == [r.value for r in fresh]
+        assert [r.value for r in results] == [
+            maxcut_bruteforce(emb.graph, f).value for f in forceds]
+        pairs.append(len(forceds) == 2)
+        return results
+
+    monkeypatch.setattr(maxcut_mod, "_embedded_maxcuts", check)
+    for seed in range(6):
+        g = gen_k33free(GeneratorSpec(seed=seed, component_count=5))
+        assert maxcut(g).value == maxcut_bruteforce(g).value
+    assert sum(pairs) >= 10  # beta+ and beta- came through one call
+
+
+def test_one_embedding_per_planar_skeleton(monkeypatch):
+    calls = []
+    real = planar_mod.planar_embed
+
+    def count(g):
+        calls.append(g.node_count)
+        return real(g)
+
+    monkeypatch.setattr(planar_mod, "planar_embed", count)
+    for seed in range(4):
+        g = gen_k33free(GeneratorSpec(seed=seed, component_count=6))
+        calls.clear()
+        state = maxcut_mod.EliminationState(g)
+        planar = [sid for sid, (cls, _e) in state.r_skeletons.items()
+                  if cls != "K5"]
+        state.run()
+        assert len(calls) == len(planar)
