@@ -12,9 +12,10 @@ from .graphs import (BlockDecomposition, CertificationError, Cut,
 from .minors import has_minor, is_c4_minor_free, minor_exhaustive
 from .planar import (DisconnectedError, DualGraph, Embedding, dual_graph,
                      faces_of, planar_embed)
-from .spqr import (K33Decomposition, K33MinorError, SkelEdge, SkeletonNode,
-                   SprTree, augment_with_parallel_originals, k33_decompose,
-                   maximal_completion, recompose, spr_tree)
+from .spqr import (Block, K33Decomposition, K33MinorError, SkelEdge,
+                   SkeletonNode, SprTree, augment_with_parallel_originals,
+                   decompose_blocks, k33_decompose, maximal_completion,
+                   recompose, spr_tree)
 from .tjoin import (MatchingError, TJoinError, min_weight_perfect_matching,
                     min_weight_t_join)
 from .maxcut import (EliminationState, EliminationStep, MaxCutResult,
@@ -30,7 +31,7 @@ from .generate import GeneratorSpec, Xoshiro256StarStar, gen_k33free
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition", "CertificationError", "ClassificationReport", "Cut",
+    "Block", "BlockDecomposition", "CertificationError", "ClassificationReport", "Cut",
     "DisconnectedError",
     "DualGraph", "DuplicateEdgeError", "EliminationState", "EliminationStep",
     "Embedding", "GeneratorSpec", "Graph", "GraphError", "InequalitySystem",
@@ -41,7 +42,7 @@ __all__ = [
     "augment_with_parallel_originals", "blocks", "brute_classify",
     "brute_hull", "chordless_cycles", "classify", "connected_components",
     "cut_from_side", "cut_vectors", "cut_weight", "cycle_inequality",
-    "dual_graph", "ear_decomposition", "edge_inequalities", "enumerate_cuts",
+    "decompose_blocks", "dual_graph", "ear_decomposition", "edge_inequalities", "enumerate_cuts",
     "facet_description", "faces_of", "format_graph",
     "fourier_motzkin_project", "gen_k33free", "has_minor", "hypermetric_k5",
     "is_c4_minor_free", "is_connected", "is_facet", "is_k_connected",

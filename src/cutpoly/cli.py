@@ -17,7 +17,8 @@ from .graphs import (Graph, NotTwoConnectedError, ParseError,
 from .classify import (classify as classify_graph, guarded_cut_vectors,
                        hull_verdicts)
 from .generate import GeneratorSpec, gen_k33free
-from .maxcut import maxcut as solve_maxcut, maxcut_bruteforce
+from .maxcut import (_decomposed_maxcut, maxcut as solve_maxcut,
+                     maxcut_bruteforce)
 from . import polytope as polytope_mod
 from . import spqr as spqr_mod
 from .spqr import K33MinorError
@@ -100,12 +101,14 @@ def cmd_verify(args) -> int:
     g = _read_graph(args.file)
     lines: list[str] = []
     failed = False
+    # the maxcut and facets stages share one decomposition of g's blocks;
     # the facets stage builds the hull when both stages' guards admit g,
     # and the classify stage reuses it
+    decomposition = spqr_mod.decompose_blocks(g)
     vectors = hull = None
 
     try:
-        exact = solve_maxcut(g)
+        exact = _decomposed_maxcut(g, decomposition)
         brute = maxcut_bruteforce(g)
         if exact.value != brute.value:
             failed = True
@@ -118,7 +121,7 @@ def cmd_verify(args) -> int:
         lines.append("maxcut skipped (K33 minor)")
 
     try:
-        system = polytope_mod.facet_description(g)
+        system = polytope_mod._decomposed_facets(g, decomposition)
         if args.facets:
             with open(args.facets, "r", encoding="utf-8") as fh:
                 expected = _parse_facet_file(fh.read())

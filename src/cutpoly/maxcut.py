@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (CertificationError, Cut, Graph, GraphError,
-                     NotTwoConnectedError, SizeLimitError, blocks,
-                     compact_graph, connected_components, cut_from_side,
-                     cut_weight, is_k_connected)
+                     NotTwoConnectedError, SizeLimitError, compact_graph,
+                     connected_components, cut_from_side, cut_weight,
+                     is_k_connected)
 from . import planar as planar_mod
 from . import spqr as spqr_mod
 from . import tjoin as tjoin_mod
@@ -179,23 +179,24 @@ def _two_color(g: Graph, cut_edges: set[int]) -> Cut:
 # -- SPR-tree elimination ----------------------------------------------------
 
 class EliminationState:
-    """Working state of one 2-connected block during leaf elimination.
+    """Working state of one decomposed block during leaf elimination.
 
     Holds the block's SPR tree as built (`tree`, before augmentation),
-    each R skeleton's class and embedding (`r_skeletons`, built once and
-    reused by every solve of that skeleton), the augmented graph's current
-    edge weights, the shrinking tree, and the recorded steps.  Mutated in
+    each R skeleton's class and embedding (`r_skeletons`, built once by
+    `decompose_blocks` and reused by every solve of that skeleton), the
+    augmented graph's current edge weights, the shrinking tree, and the
+    recorded steps.  Node labels are those of `block.graph`.  Mutated in
     place by eliminate(); finish() solves the last component and returns
     (value, node side set).
     """
 
-    def __init__(self, block: Graph):
-        if len(block.edges) < 3:
+    def __init__(self, block: spqr_mod.Block):
+        if block.tree is None:
             raise GraphError("elimination needs a block with >= 3 edges")
-        self.tree = spqr_mod.spr_tree(block)
-        self.r_skeletons = {sn.id: spqr_mod._classify_r_skeleton(sn)
-                            for sn in self.tree.nodes if sn.kind == "R"}
-        aug, tree = spqr_mod.augment_with_parallel_originals(block, self.tree)
+        self.tree = block.tree
+        self.r_skeletons = block.r_skeletons
+        aug, tree = spqr_mod.augment_with_parallel_originals(block.graph,
+                                                             self.tree)
         self.graph = aug
         self.weight: dict[int, int] = {i: w for i, (_u, _v, w) in enumerate(aug.edges)}
         self.kind: dict[int, str] = {sn.id: sn.kind for sn in tree.nodes}
@@ -369,45 +370,41 @@ def maxcut(g: Graph, order=None) -> MaxCutResult:
 
     Raises K33MinorError, carrying the offending R skeleton, otherwise.
     """
+    return _decomposed_maxcut(g, spqr_mod.decompose_blocks(g), order)
+
+
+def _decomposed_maxcut(g: Graph, decomposition: tuple[spqr_mod.Block, ...],
+                       order=None) -> MaxCutResult:
+    """`maxcut` of g, given `decompose_blocks(g)`."""
+    witness = spqr_mod._first_witness(decomposition)
+    if witness is not None:
+        raise K33MinorError("graph has a K33 minor", witness)
     assign: dict[int, int] = {v: 0 for v in range(g.node_count)}
     total = 0
-    all_blocks = blocks(g).blocks
-    for comp in connected_components(g):
-        comp_set = set(comp)
-        comp_blocks = [blk for blk in all_blocks if blk[0] <= comp_set]
-        # process blocks in an order that chains along cut nodes
-        pending = list(comp_blocks)
-        placed: set[int] = set()
-        while pending:
-            pick = next((b for b in pending if placed & b[0]), pending[0])
-            pending.remove(pick)
-            bnodes, bedges = pick
-            value, local = _solve_block(g, bnodes, bedges, order)
-            total += value
-            anchor = next((v for v in sorted(bnodes) if v in placed), None)
-            if anchor is not None and local[anchor] != assign[anchor]:
-                local = {v: 1 - c for v, c in local.items()}
-            for v, c in local.items():
-                if v not in placed:
-                    assign[v] = c
-            placed |= bnodes
+    # solve blocks in an order that chains along cut nodes, one connected
+    # component after another
+    pending = list(decomposition)
+    placed: set[int] = set()
+    while pending:
+        block = next((b for b in pending if placed.intersection(b.nodes)),
+                     pending[0])
+        pending.remove(block)
+        value, local = _solve_block(block, order)
+        total += value
+        anchor = next((v for v in block.nodes if v in placed), None)
+        if anchor is not None and local[anchor] != assign[anchor]:
+            local = {v: 1 - c for v, c in local.items()}
+        for v, c in local.items():
+            if v not in placed:
+                assign[v] = c
+        placed.update(block.nodes)
     cut = cut_from_side(g, [v for v, c in assign.items() if c == 1])
     return _certified(g, total, cut, None)
 
 
-def _solve_block(g: Graph, bnodes: frozenset[int], bedges: tuple[int, ...],
-                 order) -> tuple[int, dict[int, int]]:
-    if len(bedges) == 1:
-        u, v, w = g.edges[bedges[0]]
-        if w > 0:
-            return w, {u: 0, v: 1}
-        return 0, {u: 0, v: 0}
-    sub, to_sub = compact_graph(sorted(bnodes), [g.edges[i] for i in bedges])
-    back = {i: v for v, i in to_sub.items()}
-    state = EliminationState(sub)
-    for sn in state.tree.nodes:
-        if sn.kind == "R" and state.r_skeletons[sn.id][0] == "NonPlanar":
-            witness = spqr_mod._relabel_skeleton(sn, back, bedges)
-            raise K33MinorError("graph has a K33 minor", witness)
-    value, local = state.run(order)
-    return value, {back[v]: c for v, c in local.items()}
+def _solve_block(block: spqr_mod.Block, order) -> tuple[int, dict[int, int]]:
+    if block.tree is None:
+        (u, v), w = block.nodes, block.graph.edges[0][2]
+        return (w, {u: 0, v: 1}) if w > 0 else (0, {u: 0, v: 0})
+    value, local = EliminationState(block).run(order)
+    return value, {block.nodes[v]: c for v, c in local.items()}

@@ -1,18 +1,20 @@
 """Exact minor tests for the three minors the toolkit cares about.
 
 C4 uses the block characterization (every block an edge or a triangle).
-K33 uses the 3-connectivity decomposition: the graph is K33-minor-free
-iff every R skeleton is planar or K5.  K5 uses planarity per block plus
-an exhaustive contraction search on the rare non-planar R skeletons.
-The exhaustive search doubles as the certifying oracle in tests.
+K5 and K33 read the one decomposition of each block
+(`spqr.decompose_blocks`).  Both are 3-connected, so a block has either
+minor only inside one R skeleton, and R skeletons come classified:
+planar ones have neither minor, a K5 has no K33 minor, and any other
+non-planar 3-connected graph has a K33 minor.  K5 minors in the rare
+non-planar, non-K5 skeletons are found by an exhaustive contraction
+search, which doubles as the certifying oracle in tests.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, GraphError, blocks, compact_graph
-from . import planar as planar_mod
+from .graphs import Graph, GraphError, blocks
 from . import spqr as spqr_mod
 
 MINORS = ("K5", "K33", "C4")
@@ -24,30 +26,16 @@ def has_minor(g: Graph, h: str) -> bool:
         raise GraphError(f"unsupported minor {h!r}")
     if h == "C4":
         return not is_c4_minor_free(g)
-    for bnodes, bedges in blocks(g).blocks:
-        if h == "K33" and (len(bnodes) < 6 or len(bedges) < 9):
-            continue
-        if h == "K5" and (len(bnodes) < 5 or len(bedges) < 10):
-            continue
-        sub, _ = compact_graph(sorted(bnodes), [g.edges[i] for i in bedges])
-        if planar_mod.planar_embed(sub) is not None:
-            continue  # planar blocks contain neither K5 nor K33
-        t = spqr_mod.spr_tree(sub)
-        for sn in t.nodes:
-            if sn.kind != "R":
-                continue
-            sg, _ = spqr_mod._skeleton_graph(sn)
-            if planar_mod.planar_embed(sg) is not None:
-                continue
-            if h == "K33":
-                if not (sg.node_count == 5 and len(sg.edges) == 10):
-                    return True  # non-planar R skeleton other than K5
-            else:
-                if sg.node_count == 5 and len(sg.edges) == 10:
-                    return True
-                if minor_exhaustive(sg, "K5"):
-                    return True
-    return False
+    return any(_block_has_minor(b, h) for b in spqr_mod.decompose_blocks(g))
+
+
+def _block_has_minor(block: spqr_mod.Block, h: str) -> bool:
+    """K5 or K33 minor in one decomposed block."""
+    if h == "K33":
+        return block.witness is not None
+    return any(cls == "K5" or (cls == "NonPlanar" and minor_exhaustive(
+        spqr_mod._skeleton_graph(block.tree.node(sid))[0], "K5"))
+        for sid, (cls, _emb) in block.r_skeletons.items())
 
 
 def c4_minor_block(g: Graph) -> tuple[frozenset[int], tuple[int, ...]] | None:

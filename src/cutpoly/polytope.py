@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .graphs import (CertificationError, Cut, Graph, GraphError,
-                     SizeLimitError, blocks, chordless_cycles, compact_graph,
+                     SizeLimitError, chordless_cycles, compact_graph,
                      cut_vectors, enumerate_cuts, triangles)
 from . import minors as minors_mod
 from . import spqr as spqr_mod
@@ -465,33 +465,29 @@ def facet_description(g: Graph) -> InequalitySystem:
     the 2-sum pieces, projected through deleted edges when the graph is
     not maximal).  Anything else is refused with the offending component.
     """
-    m = len(g.edges)
-    if m == 0:
-        return InequalitySystem.of(g, [])
-    if not minors_mod.has_minor(g, "K5"):
-        return InequalitySystem.of(g, _edge_cycle_facets(g))
+    return _decomposed_facets(g, spqr_mod.decompose_blocks(g))
+
+
+def _decomposed_facets(g: Graph, decomposition: tuple[spqr_mod.Block, ...]
+                       ) -> InequalitySystem:
+    """`facet_description` of g, given `decompose_blocks(g)`: the union of
+    the blocks' descriptions (every triangle and chordless cycle lies in
+    one block)."""
     out: list[LinearInequality] = []
-    for bnodes, bedges in blocks(g).blocks:
-        sub, to_sub = compact_graph(sorted(bnodes), [g.edges[i] for i in bedges])
-        if not minors_mod.has_minor(sub, "K5"):
-            ineqs = _edge_cycle_facets(sub)
+    for block in decomposition:
+        if not minors_mod._block_has_minor(block, "K5"):
+            ineqs = _edge_cycle_facets(block.graph)
+        elif block.witness is not None:
+            raise K33MinorError(
+                "facet_description supports K5-minor-free or "
+                "K33-minor-free graphs only", block.witness)
         else:
-            dec = spqr_mod.k33_decompose(sub)
-            if not dec.is_k33_minor_free:
-                back = {i: v for v, i in to_sub.items()}
-                witness = spqr_mod._relabel_skeleton(dec.witness, back, bedges)
-                raise K33MinorError(
-                    "facet_description supports K5-minor-free or "
-                    "K33-minor-free graphs only", witness)
-            if dec.is_maximal:
-                ineqs = _maximal_k33free_facets(sub)
-            else:
-                ineqs = _projected_facets(sub)
-        for q in ineqs:
-            coeffs = [0] * m
-            for j, c in enumerate(q.coeffs):
-                coeffs[bedges[j]] = c
-            out.append(LinearInequality.canonical(coeffs, q.rhs))
+            ineqs = _completed_facets(block)
+        for q in ineqs:  # canonical already: spreading keeps the gcd
+            coeffs = [0] * len(g.edges)
+            for j, c in zip(block.edges, q.coeffs):
+                coeffs[j] = c
+            out.append(LinearInequality(tuple(coeffs), q.rhs))
     return InequalitySystem.of(g, out)
 
 
@@ -508,52 +504,50 @@ def _edge_cycle_facets(g: Graph) -> list[LinearInequality]:
     return out
 
 
-def _maximal_k33free_facets(g: Graph) -> list[LinearInequality]:
-    """Facets of a strict 2-sum of planar triangulations and K5s: the
-    union of the pieces' facet systems on shared variables.
+def _maximal_k33free_facets(g: Graph, pieces) -> list[LinearInequality]:
+    """Facets of a strict 2-sum of planar triangulations and K5s, given
+    its pieces (sorted node tuple, edge pairs): the union of the pieces'
+    facet systems on shared variables.
 
     Triangulation pieces contribute their edge+cycle facets (computed on
     the piece, which may include chordless cycles longer than triangles);
     K5 pieces contribute their metric inequalities and the 16 switchings
-    of the K5 inequality.
+    of the K5 inequality.  A piece that is neither, or has an edge
+    missing from g, is refused.
     """
     out: list[LinearInequality] = []
-    if len(g.edges) <= 1:
-        for i in range(len(g.edges)):
-            out.extend(edge_inequalities(g, i))
-        return out
-    tree = spqr_mod.spr_tree(g)
-    for sn in tree.nodes:
-        if sn.kind == "P":
-            continue
-        # strictness means every skeleton edge (virtual or not) is a real
-        # edge of g, so the piece is an honest subgraph
-        sub, to_sub = compact_graph(sn.nodes,
-                                    [(e.u, e.v, 0) for e in sn.edges])
-        if sub.node_count == 5 and len(sub.edges) == 10:
-            ineqs = [hypermetric_k5(sub, range(5))]
-            ineqs = [switch(ineqs[0], c) for c in enumerate_cuts(sub)]
+    for nodes, pairs in pieces:
+        sub, _ = compact_graph(nodes, [(u, v, 0) for u, v in pairs])
+        k5 = sub.node_count == 5 and len(sub.edges) == 10
+        if not (k5 or len(sub.edges) == 3 * sub.node_count - 6) \
+                or not all(g.has_edge(u, v) for u, v in pairs):
+            raise CertificationError("piece is not a K5 or a triangulation "
+                                     "of the completed graph")
+        if k5:
+            ineqs = [switch(hypermetric_k5(sub, range(5)), c)
+                     for c in enumerate_cuts(sub)]
             for tri in triangles(sub):
                 tri_idx = [sub.edge_index(a, b)
                            for a, b in itertools.combinations(tri, 2)]
                 ineqs.extend(metric_inequalities(sub, tri_idx))
         else:
             ineqs = _edge_cycle_facets(sub)
-        back = {i: v for v, i in to_sub.items()}
         for q in ineqs:
             coeffs = [0] * len(g.edges)
             for j, c in enumerate(q.coeffs):
                 su, sv, _w = sub.edges[j]
-                coeffs[g.edge_index(back[su], back[sv])] = c
+                coeffs[g.edge_index(nodes[su], nodes[sv])] = c
             out.append(LinearInequality.canonical(coeffs, q.rhs))
     return out
 
 
-def _projected_facets(g: Graph) -> list[LinearInequality]:
-    """Non-maximal K33-minor-free block: complete the graph, describe the
-    completion, then eliminate the added edges one at a time."""
-    h, added = spqr_mod.maximal_completion(g)
-    system = InequalitySystem.of(h, _maximal_k33free_facets(h))
+def _completed_facets(block: spqr_mod.Block) -> list[LinearInequality]:
+    """K33-minor-free block: describe its maximal completion piece by
+    piece, then eliminate the added edges one at a time."""
+    g = block.graph
+    added, pieces = spqr_mod._completion(block)
+    h = Graph(g.node_count, list(g.edges) + [(u, v, 0) for u, v in added])
+    system = InequalitySystem.of(h, _maximal_k33free_facets(h, pieces))
     # added edges sit at the end of h's edge list; eliminate from the back
     # so surviving indices match g's
     for idx in range(len(h.edges) - 1, len(g.edges) - 1, -1):

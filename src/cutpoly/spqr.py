@@ -4,7 +4,9 @@ Skeletons are S (cycles), P (two nodes with >= 3 parallel edges) and R
 (simple 3-connected graphs), linked in a tree by paired virtual edges.
 Construction splits at split pairs until every piece is a bond, a cycle
 or 3-connected, then merges adjacent same-kind S/P nodes; the result is
-the canonical decomposition regardless of split order.
+the canonical decomposition regardless of split order.  `decompose_blocks`
+builds it once per block of a graph, with the class of each R skeleton,
+for the minor tests, the MaxCut solver and the facet code to share.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import (Graph, GraphError, NotTwoConnectedError, blocks,
-                     compact_graph, disjoint_sets, is_connected,
-                     is_k_connected)
+from .graphs import (CertificationError, Graph, GraphError,
+                     NotTwoConnectedError, blocks, compact_graph,
+                     disjoint_sets, is_connected, is_k_connected)
 from . import planar as planar_mod
 
 
@@ -149,7 +151,8 @@ def _decompose(nodes: list[int], edges: list[tuple[int, int, tuple]],
     if kind is not None:
         return [(kind, nodes, edges)]
     found = _find_split(nodes, edges)
-    assert found is not None, "non-final component must have a split pair"
+    if found is None:
+        raise CertificationError("non-final component must have a split pair")
     v, w, side_a, side_b = found
     pid = next_pid[0]
     next_pid[0] += 1
@@ -171,7 +174,7 @@ def _merge_same_kind(comps: list[tuple[str, list[int], list[tuple]]]):
                     owner.setdefault(t[1], []).append(ci)
         todo = None
         for pid, cs in sorted(owner.items()):
-            assert len(cs) == 2, "virtual pair id must occur in exactly two skeletons"
+            _check_pair(cs)
             a, b = cs
             if a != b and comps[a][0] == comps[b][0] and comps[a][0] in ("S", "P"):
                 todo = (pid, a, b)
@@ -221,16 +224,23 @@ def _build_tree(g: Graph,
                 owner.setdefault(t[1], []).append(i)
         # re-derive and check the kind
         check = _classify(list(nodes), [(e.u, e.v, None) for e in skel_edges])
-        assert check == kind, f"skeleton kind drift: {check} != {kind}"
+        if check != kind:
+            raise CertificationError(f"skeleton kind drift: {check} != {kind}")
         skel_nodes.append(SkeletonNode(i, kind, tuple(nodes), tuple(skel_edges)))
     tree_edges = []
     for pid, cs in sorted(owner.items()):
-        assert len(cs) == 2
+        _check_pair(cs)
         a, b = sorted(cs)
-        assert not (skel_nodes[a].kind == skel_nodes[b].kind
-                    and skel_nodes[a].kind in ("S", "P")), "same-kind adjacency"
+        if skel_nodes[a].kind == skel_nodes[b].kind in ("S", "P"):
+            raise CertificationError("same-kind adjacency")
         tree_edges.append((a, b, pid))
     return SprTree(tuple(skel_nodes), tuple(tree_edges))
+
+
+def _check_pair(owners: list[int]) -> None:
+    if len(owners) != 2:
+        raise CertificationError(
+            "virtual pair id must occur in exactly two skeletons")
 
 
 def recompose(t: SprTree, node_count: int) -> Graph:
@@ -240,9 +250,11 @@ def recompose(t: SprTree, node_count: int) -> Graph:
     for sn in t.nodes:
         for e in sn.edges:
             if e.kind == "orig":
-                assert e.ref not in edge_map, "original edge in two skeletons"
+                if e.ref in edge_map:
+                    raise CertificationError("original edge in two skeletons")
                 edge_map[e.ref] = (e.u, e.v, e.weight)
-    assert sorted(edge_map) == list(range(len(edge_map))), "missing edge index"
+    if sorted(edge_map) != list(range(len(edge_map))):
+        raise CertificationError("missing edge index")
     return Graph(node_count, [edge_map[i] for i in range(len(edge_map))])
 
 
@@ -304,15 +316,7 @@ def augment_with_parallel_originals(g: Graph, t: SprTree) -> tuple[Graph, SprTre
     return new_g, SprTree(nodes, tes)
 
 
-# -- K33-minor-free classification ------------------------------------------
-
-@dataclass(frozen=True)
-class K33Decomposition:
-    is_k33_minor_free: bool
-    components: tuple[tuple[SkeletonNode, str], ...]  # skeleton, class label
-    is_maximal: bool
-    witness: SkeletonNode | None  # a non-planar, non-K5 R-component, if any
-
+# -- one decomposition per block ----------------------------------------------
 
 def _skeleton_graph(sn: SkeletonNode) -> tuple[Graph, dict[int, int]]:
     """Skeleton as a simple Graph (virtual edges treated as real, weight 0)."""
@@ -335,16 +339,68 @@ def _classify_r_skeleton(sn: SkeletonNode
     return "Planar", emb
 
 
-def _relabel_skeleton(sn: SkeletonNode, back: dict[int, int],
-                      edge_refs) -> SkeletonNode:
-    """Translate a block-local skeleton to the caller's node labels and
-    original edge indices."""
-    edges = tuple(SkelEdge(back[e.u], back[e.v], e.kind,
-                           edge_refs[e.ref] if e.kind == "orig" else e.ref,
-                           e.weight)
-                  for e in sn.edges)
-    return SkeletonNode(sn.id, sn.kind,
-                        tuple(sorted(back[v] for v in sn.nodes)), edges)
+@dataclass(frozen=True)
+class Block:
+    """One block of a graph, decomposed once for every consumer.
+
+    `graph` is the block on nodes 0..k-1: its node i is node `nodes[i]` of
+    the graph and its edge j is edge `edges[j]`.  `tree` is its SPR-tree
+    (None for a single-edge block) and `r_skeletons` maps each R skeleton
+    id to `_classify_r_skeleton`'s class and embedding.
+    """
+    nodes: tuple[int, ...]
+    edges: tuple[int, ...]
+    graph: Graph
+    tree: SprTree | None
+    r_skeletons: dict[int, tuple[str, planar_mod.Embedding | None]]
+
+    def relabel(self, sn: SkeletonNode) -> SkeletonNode:
+        """Skeleton `sn` of the tree in the graph's node labels and edge
+        indices."""
+        edges = tuple(SkelEdge(self.nodes[e.u], self.nodes[e.v], e.kind,
+                               self.edges[e.ref] if e.kind == "orig" else e.ref,
+                               e.weight)
+                      for e in sn.edges)
+        return SkeletonNode(sn.id, sn.kind,
+                            tuple(self.nodes[v] for v in sn.nodes), edges)
+
+    @property
+    def witness(self) -> SkeletonNode | None:
+        """The first non-planar, non-K5 R skeleton (it carries a K33
+        minor), relabelled; None when the block is K33-minor-free."""
+        sid = next((sid for sid, (cls, _emb) in self.r_skeletons.items()
+                    if cls == "NonPlanar"), None)
+        return None if sid is None else self.relabel(self.tree.node(sid))
+
+
+def decompose_blocks(g: Graph) -> tuple[Block, ...]:
+    """Every block of g, in the order of `blocks(g)`, with its SPR-tree
+    and the class and embedding of each R skeleton."""
+    out = []
+    for bnodes, bedges in blocks(g).blocks:
+        nodes = tuple(sorted(bnodes))
+        sub, _ = compact_graph(nodes, [g.edges[i] for i in bedges])
+        tree = spr_tree(sub) if len(bedges) >= 3 else None
+        r_skeletons = {sn.id: _classify_r_skeleton(sn)
+                       for sn in (tree.nodes if tree else ()) if sn.kind == "R"}
+        out.append(Block(nodes, bedges, sub, tree, r_skeletons))
+    return tuple(out)
+
+
+def _first_witness(decomposition: tuple[Block, ...]) -> SkeletonNode | None:
+    """The witness of the first block that has one."""
+    return next((w for b in decomposition if (w := b.witness) is not None),
+                None)
+
+
+# -- K33-minor-free classification ------------------------------------------
+
+@dataclass(frozen=True)
+class K33Decomposition:
+    is_k33_minor_free: bool
+    components: tuple[tuple[SkeletonNode, str], ...]  # skeleton, class label
+    is_maximal: bool
+    witness: SkeletonNode | None  # a non-planar, non-K5 R-component, if any
 
 
 def k33_decompose(g: Graph) -> K33Decomposition:
@@ -353,54 +409,19 @@ def k33_decompose(g: Graph) -> K33Decomposition:
 
     Reported skeletons use g's node labels and edge indices.
     """
-    comps: list[tuple[SkeletonNode, str]] = []
-    witness = None
-    strict = True
-    single_edge_blocks = 0
-    block_count = 0
-    for bnodes, bedges in blocks(g).blocks:
-        block_count += 1
-        if len(bedges) == 1:
-            single_edge_blocks += 1
-            continue
-        sub_edges = [g.edges[i] for i in bedges]
-        sub, to_sub = compact_graph(sorted(bnodes), sub_edges)
-        back = {i: v for v, i in to_sub.items()}
-        t = spr_tree(sub)
-        kinds = {sn.id: sn.kind for sn in t.nodes}
-        for sn in t.nodes:
-            glob = _relabel_skeleton(sn, back, bedges)
-            if sn.kind == "S":
-                comps.append((glob, "Cycle"))
-            elif sn.kind == "R":
-                cls, _emb = _classify_r_skeleton(sn)
-                if cls == "NonPlanar":
-                    if witness is None:
-                        witness = glob
-                    comps.append((glob, "NonPlanar"))
-                else:
-                    comps.append((glob, cls))
-            else:  # P: used only for strictness
-                if not any(e.kind == "orig" for e in sn.edges):
-                    strict = False
-        for a, b, _pid in t.tree_edges:
-            if kinds[a] != "P" and kinds[b] != "P":
-                strict = False
-
-    free = witness is None
-    connected = is_connected(g)
-    if not connected:
-        maximal = False
-    elif len(g.edges) <= 1:
-        maximal = True  # K1 / K2: nothing can be added
-    elif block_count > 1 or single_edge_blocks:
+    decomposition = decompose_blocks(g)
+    comps = tuple((b.relabel(sn),
+                   "Cycle" if sn.kind == "S" else b.r_skeletons[sn.id][0])
+                  for b in decomposition if b.tree
+                  for sn in b.tree.nodes if sn.kind != "P")
+    witness = _first_witness(decomposition)
+    if not is_connected(g) or len(decomposition) > 1:
         maximal = False  # a cut node always admits a safe new edge
+    elif not decomposition or decomposition[0].tree is None:
+        maximal = True  # K1 / K2: nothing can be added
     else:
-        maximal = (free and strict
-                   and all(cls in ("PlanarTriangulation", "K5")
-                           or (cls == "Cycle" and len(sn.nodes) == 3)
-                           for sn, cls in comps))
-    return K33Decomposition(free, tuple(comps), maximal, witness)
+        maximal = witness is None and not _completion(decomposition[0])[0]
+    return K33Decomposition(witness is None, comps, maximal, witness)
 
 
 class K33MinorError(GraphError):
@@ -414,96 +435,91 @@ class K33MinorError(GraphError):
 def maximal_completion(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     """Extend a connected K33-minor-free graph to a maximal one.
 
-    Strategy, repeated until stable: join blocks at cut nodes, add the
-    missing parallel original of every non-strict 2-sum, fan-triangulate
-    cycle skeletons, and face-triangulate planar R skeletons.  Returns the
-    completed graph and the list of added node pairs, in insertion order.
+    Blocks are first joined at cut nodes, one edge at a time, until the
+    graph is 2-connected.  The rest is added in one pass over the SPR-tree
+    of that block (`_completion`), in this order: the pair of every P
+    skeleton without an original edge; the pair of every tree edge
+    between two non-P skeletons; then, skeleton by skeleton in tree order,
+    a fan from the minimum node of every S cycle with >= 4 nodes, and a
+    fan from the first node of every face longer than 3 of every planar R
+    skeleton.  Returns the completed graph and the list of added node
+    pairs, in insertion order.
     """
     if not is_connected(g):
         raise GraphError("maximal_completion needs a connected graph")
-    dec = k33_decompose(g)
-    if not dec.is_k33_minor_free:
-        raise K33MinorError("input has a K33 minor", dec.witness)
+    decomposition = decompose_blocks(g)
+    witness = _first_witness(decomposition)
+    if witness is not None:
+        raise K33MinorError("input has a K33 minor", witness)
     h = g
     added: list[tuple[int, int]] = []
-
-    def add(u: int, v: int) -> None:
-        nonlocal h
-        assert not h.has_edge(u, v), "completion tried to re-add an edge"
-        h = h.with_edge(u, v, 0)
-        added.append((min(u, v), max(u, v)))
-
-    while True:
-        bd = blocks(h)
-        if bd.cut_nodes:
-            c = min(bd.cut_nodes)
-            touching = [b for b in bd.blocks if c in b[0]]
-            w1 = min(x for x, _i in _neighbors_in_block(h, touching[0], c))
-            w2 = min(x for x, _i in _neighbors_in_block(h, touching[1], c))
-            add(w1, w2)
-            continue
-        if len(h.edges) <= 1 or (len(h.edges) == 3 and h.node_count == 3):
-            break
-        t = spr_tree(h)
-        kinds = {sn.id: sn.kind for sn in t.nodes}
-        action = False
-        # strictify first: every virtual pair gets a parallel original
-        for sn in sorted(t.nodes, key=lambda s: s.id):
-            if sn.kind == "P" and not any(e.kind == "orig" for e in sn.edges):
-                a, b = sn.nodes[0], sn.nodes[1]
-                add(min(a, b), max(a, b))
-                action = True
-                break
-        if action:
-            continue
-        for a, b, pid in sorted(t.tree_edges):
-            if kinds[a] != "P" and kinds[b] != "P":
-                e = next(e for e in t.nodes[a].edges
-                         if e.kind == "virt" and e.ref == pid)
-                add(*e.endpoints())
-                action = True
-                break
-        if action:
-            continue
-        for sn in sorted(t.nodes, key=lambda s: s.id):
-            if sn.kind == "S" and len(sn.nodes) >= 4:
-                cyc = _cycle_order(sn)
-                v0 = min(cyc)
-                i0 = cyc.index(v0)
-                cyc = cyc[i0:] + cyc[:i0]
-                add(min(v0, cyc[2]), max(v0, cyc[2]))
-                action = True
-                break
-            if sn.kind == "R":
-                cls, emb = _classify_r_skeleton(sn)
-                if cls == "Planar":
-                    back = sorted(set(sn.nodes))  # _skeleton_graph's compaction
-                    for face in planar_mod.faces_of(emb):
-                        if len(face) > 3:
-                            walk = _face_nodes(emb.graph, face)
-                            add(*sorted((back[walk[0]], back[walk[2]])))
-                            action = True
-                            break
-                    assert action, "non-triangulation must have a big face"
-                    break
-                assert cls in ("PlanarTriangulation", "K5"), "K33 minor appeared"
-        if not action:
-            break
+    while (bd := blocks(h)).cut_nodes:
+        c = min(bd.cut_nodes)
+        w1, w2 = [min(u + v - c for u, v, _w in (h.edges[i] for i in bedges)
+                      if c in (u, v))
+                  for bnodes, bedges in bd.blocks if c in bnodes][:2]
+        h = h.with_edge(w1, w2, 0)
+        added.append((min(w1, w2), max(w1, w2)))
+    if added:
+        decomposition = decompose_blocks(h)
+    if decomposition and decomposition[0].tree:
+        (block,) = decomposition
+        more = [(block.nodes[u], block.nodes[v])
+                for u, v in _completion(block)[0]]
+        h = Graph(h.node_count, list(h.edges) + [(u, v, 0) for u, v in more])
+        added += more
     return h, added
 
 
-def _neighbors_in_block(g: Graph, block, c: int):
-    bnodes, bedges = block
-    for i in bedges:
-        u, v, _w = g.edges[i]
-        if u == c:
-            yield v, i
-        elif v == c:
-            yield u, i
+# a piece of a completed block: sorted node tuple, edge pairs
+_Piece = tuple[tuple[int, ...], list[tuple[int, int]]]
+
+
+def _completion(block: Block) -> tuple[list[tuple[int, int]], list[_Piece]]:
+    """The additions of `maximal_completion` for a K33-minor-free block
+    with a tree, in the block's labels and in that order.  They are
+    distinct and new: skeletons share only virtual pairs, and faces of
+    3-connected planar graphs have no chords.
+
+    Also returns the pieces of the completed block: its triangles, planar
+    triangulations and K5s, glued along real edges.
+    """
+    tree = block.tree
+    kinds = {sn.id: sn.kind for sn in tree.nodes}
+    added = [sn.nodes for sn in tree.nodes
+             if sn.kind == "P" and not sn.originals()]
+    added += [next(e.endpoints() for e in tree.node(a).virtuals()
+                   if e.ref == pid)
+              for a, b, pid in sorted(tree.tree_edges)
+              if kinds[a] != "P" and kinds[b] != "P"]
+    pieces = []
+    for sn in tree.nodes:
+        pairs = [e.endpoints() for e in sn.edges]
+        cls, emb = block.r_skeletons.get(sn.id, (sn.kind, None))
+        if sn.kind == "S" and len(sn.nodes) >= 4:
+            v0, *rest = _cycle_order(sn)  # starts at the minimum node
+            added += [(v0, x) for x in rest[1:-1]]
+            for x, y in zip(rest, rest[1:]):
+                tri = (v0, min(x, y), max(x, y))
+                pieces.append((tri, [tri[:2], tri[::2], tri[1:]]))
+        elif cls == "Planar":
+            chords = []
+            for face in planar_mod.faces_of(emb):
+                walk = [sn.nodes[x] for x in _face_nodes(emb.graph, face)]
+                chords += [(min(walk[0], x), max(walk[0], x))
+                           for x in walk[2:-1]]
+            added += chords
+            pieces.append((sn.nodes, pairs + chords))
+        elif sn.kind != "P":
+            pieces.append((sn.nodes, pairs))
+    if len(set(added)) != len(added) or any(block.graph.has_edge(*e)
+                                            for e in added):
+        raise CertificationError("completion tried to re-add an edge")
+    return added, pieces
 
 
 def _cycle_order(sn: SkeletonNode) -> list[int]:
-    """Vertices of an S skeleton in cycle order."""
+    """Vertices of an S skeleton in cycle order, from its first node."""
     adj: dict[int, list[int]] = {v: [] for v in sn.nodes}
     for e in sn.edges:
         adj[e.u].append(e.v)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from cutpoly import Graph, is_connected, is_k_connected
+from cutpoly import Graph, decompose_blocks, is_connected, is_k_connected
+from cutpoly.spqr import _completion
 
 
 def complete(n: int, w: int = 1) -> Graph:
@@ -23,6 +24,15 @@ def cycle(n: int, w: int = 1) -> Graph:
 
 def path(n: int, w: int = 1) -> Graph:
     return Graph(n, [(i, i + 1, w) for i in range(n - 1)])
+
+
+def maximal_pieces(g: Graph):
+    """The pieces of a maximal 2-connected K33-minor-free graph, in the
+    form `polytope._maximal_k33free_facets` takes them."""
+    (block,) = decompose_blocks(g)
+    added, pieces = _completion(block)
+    assert not added, "graph is not maximal"
+    return pieces
 
 
 def k33() -> Graph:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import cutpoly
-from cutpoly import Graph, cli, format_graph, parse_graph, polytope
+from cutpoly import (GeneratorSpec, Graph, blocks, cli, format_graph,
+                     gen_k33free, has_minor, k33_decompose, minors,
+                     parse_graph, polytope, spqr)
 from cutpoly.cli import main
 from cutpoly.maxcut import EliminationState
 from helpers import complete, cycle, double_k5, k33, path, \
@@ -236,3 +238,55 @@ def test_facets_same_without_asserts(tmp_path):
         assert plain.returncode == optimized.returncode == 0, args
         assert plain.stdout.startswith(head), plain.stdout
         assert optimized.stdout == plain.stdout
+
+
+# _build_tree re-derives each skeleton's kind from its untagged edges; the
+# patched _classify reports an R skeleton as a cycle there
+KIND_DRIFT = """
+from cutpoly import CertificationError, Graph, spqr
+real = spqr._classify
+def drifting(nodes, edges):
+    kind = real(nodes, edges)
+    return "S" if kind == "R" and edges[0][2] is None else kind
+spqr._classify = drifting
+try:
+    spqr.spr_tree(Graph(5, [(u, v, 1) for u in range(5) for v in range(u)]))
+except CertificationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_kind_drift_raises_without_asserts(flags):
+    proc = run_module(*flags, "-c", KIND_DRIFT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "skeleton kind drift: S != R\n"
+
+
+def test_one_decomposition_per_block(tmp_path, capsys, monkeypatch):
+    """On a non-strict 2-sum of a K5 and a triangulation, facets build
+    one SPR-tree (the completed pieces are read off it) and run no
+    whole-graph minor test; verify builds one SPR-tree per block."""
+    g = gen_k33free(GeneratorSpec(seed=1, tri_size=(4, 5), strict=False))
+    assert not k33_decompose(g).is_maximal and has_minor(g, "K5")
+    f = tmp_path / "nonstrict.cut"
+    f.write_text(format_graph(g))
+    trees = []
+    real = spqr.spr_tree
+
+    def count(h):
+        trees.append(h)
+        return real(h)
+
+    def refuse(*args):
+        raise AssertionError("whole-graph minor test")
+
+    monkeypatch.setattr(spqr, "spr_tree", count)
+    monkeypatch.setattr(minors, "has_minor", refuse)
+    monkeypatch.setattr(spqr, "k33_decompose", refuse)
+    code, _out, _err = run_cli(["facets", str(f)], capsys)
+    assert code == 0 and len(trees) == 1
+    trees.clear()
+    code, out, _err = run_cli(["verify", str(f)], capsys)
+    assert code == 0 and out.startswith("maxcut ok")
+    assert len(trees) == sum(len(e) >= 3 for _n, e in blocks(g).blocks) == 1

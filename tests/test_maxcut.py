@@ -3,7 +3,8 @@ import random
 import pytest
 
 from cutpoly import (EliminationState, Graph, K33MinorError, cut_weight,
-                     maxcut, maxcut_bruteforce, planar_maxcut)
+                     decompose_blocks, maxcut, maxcut_bruteforce,
+                     planar_maxcut)
 from cutpoly.maxcut import NonPlanarError
 from helpers import (complete, cycle, double_k5, forced_cut_optimum, k33,
                      octahedron, random_planar_2connected)
@@ -76,7 +77,7 @@ def test_first_step_betas_on_shared_triangles(weights):
     enumeration of the four cuts of a triangle."""
     w0, w1, w2, w3, w4 = weights
     g = two_triangles(*weights)
-    state = EliminationState(g)
+    state = EliminationState(decompose_blocks(g)[0])
     leaf = state.eligible_leaves()[0]
     step = state.eliminate(leaf)
     ww1, ww2 = (w1, w2) if 2 in step.nodes else (w3, w4)
@@ -92,7 +93,7 @@ def test_k5_leaf_betas():
     weight of its parallel original: with the augmented weight-0 edge the
     best ab-in-cut value is 5 and the best ab-out value is 6 (enumeration
     over the 16 cuts of K5); with a unit parallel edge both are 6."""
-    state = EliminationState(double_k5())
+    state = EliminationState(decompose_blocks(double_k5())[0])
     step = state.eliminate(state.eligible_leaves()[0])
     assert (step.beta_plus, step.beta_minus) == (5, 6)
     value, _ = state.run()
@@ -100,7 +101,7 @@ def test_k5_leaf_betas():
 
     # strict variant: keep the shared edge with weight 1
     g = double_k5().with_edge(0, 1, 1)
-    state = EliminationState(g)
+    state = EliminationState(decompose_blocks(g)[0])
     step = state.eliminate(state.eligible_leaves()[0])
     assert (step.beta_plus, step.beta_minus) == (6, 6)
 
@@ -111,7 +112,7 @@ def test_s_node_c4_leaf_betas():
     all-edges cut (value 4), so beta+ = 4; beta- = 2."""
     g = Graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1),
                   (0, 4, 1), (1, 4, 1)])
-    state = EliminationState(g)
+    state = EliminationState(decompose_blocks(g)[0])
     leaf = next(l for l in state.eligible_leaves()
                 if len(state.skel_edges[l]) == 4)
     step = state.eliminate(leaf)
@@ -124,7 +125,7 @@ def test_elimination_telescope():
     """Accumulated beta-minus plus the final component's optimum equals
     the reported value."""
     g = double_k5()
-    state = EliminationState(g)
+    state = EliminationState(decompose_blocks(g)[0])
     while not state.done():
         state.eliminate(state.eligible_leaves()[0])
     (final,) = state.adj
@@ -136,7 +137,7 @@ def test_elimination_telescope():
 
 
 def test_eliminate_rejects_non_leaves():
-    state = EliminationState(double_k5())
+    state = EliminationState(decompose_blocks(double_k5())[0])
     import pytest as _pytest
     from cutpoly import GraphError
     leaf = state.eligible_leaves()[0]

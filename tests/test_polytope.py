@@ -10,7 +10,8 @@ from cutpoly import (Graph, GraphError, K33MinorError, LinearInequality,
                      is_valid, metric_inequalities, minor_exhaustive,
                      polytope_dim, switch, triangles)
 from cutpoly.polytope import InequalitySystem, _maximal_k33free_facets
-from helpers import complete, cycle, double_k5, k33, octahedron, random_graph
+from helpers import (complete, cycle, double_k5, k33, maximal_pieces,
+                     octahedron, random_graph)
 
 
 def tri_indices(g, tri):
@@ -177,7 +178,7 @@ def test_facets_octahedron_both_routes_match_hull():
     fd = facet_description(g)
     assert set(fd.inequalities) == hull
     via_pieces = {LinearInequality.canonical(q.coeffs, q.rhs)
-                  for q in _maximal_k33free_facets(g)}
+                  for q in _maximal_k33free_facets(g, maximal_pieces(g))}
     assert via_pieces == hull
     metric = set()
     for tri in triangles(g):

@@ -7,8 +7,9 @@ same examples on every run.
 
 import pytest
 
-from cutpoly import GeneratorSpec, cut_weight, gen_k33free, maxcut, \
-    maxcut_bruteforce, min_weight_t_join
+from cutpoly import GeneratorSpec, Graph, brute_hull, cut_vectors, \
+    cut_weight, decompose_blocks, facet_description, gen_k33free, maxcut, \
+    maxcut_bruteforce, min_weight_t_join, planar_embed
 from helpers import tjoin_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -67,3 +68,67 @@ def test_tjoin_matches_subset_enumeration(instance):
             odd[u] ^= 1
             odd[v] ^= 1
     assert {v for v in range(n) if odd[v]} == terminals
+
+
+@st.composite
+def simple_graphs(draw):
+    """A connected simple graph on 1..9 nodes: a random spanning tree,
+    then each other node pair kept or not by a coin flip."""
+    n = draw(st.integers(1, 9))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if (u, v) not in pairs]
+    keep = draw(st.lists(st.booleans(), min_size=len(others),
+                         max_size=len(others)))
+    pairs.update(p for p, k in zip(others, keep) if k)
+    return Graph(n, [(u, v, 1) for u, v in sorted(pairs)])
+
+
+@hypothesis.given(simple_graphs())
+def test_planarity_matches_networkx(g):
+    """`planar_embed`, and the verdict "every R skeleton of every block is
+    planar" that the minor tests read off `decompose_blocks`, both agree
+    with networkx."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.node_count))
+    h.add_edges_from((u, v) for u, v, _w in g.edges)
+    planar = nx.check_planarity(h)[0]
+    assert (planar_embed(g) is not None) == planar
+    assert all(emb is not None for block in decompose_blocks(g)
+               for _cls, emb in block.r_skeletons.values()) == planar
+
+
+@st.composite
+def small_k33free(draw):
+    """A K33-minor-free graph with n <= 7 and m <= 12, so that the hull
+    oracle applies.  Either a `gen` recipe of one or two pieces (strict
+    or not, thinned or not), or a K5 and a K4 glued by a 2-sum (strict or
+    not) and then thinned at the K4's degree-3 nodes only: the K5 minor
+    survives and its block needs completion."""
+    seed = draw(st.integers(0, 2 ** 32))
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 4))
+        g = gen_k33free(GeneratorSpec(
+            seed=seed, component_count=draw(st.integers(1, 2)),
+            kinds=draw(st.sampled_from([("k5",), ("triangulation",),
+                                        ("k5", "triangulation")])),
+            tri_size=(4, 5), strict=draw(st.booleans()),
+            deletion_prob=(draw(st.integers(0, den)), den)))
+        hypothesis.assume(g.node_count <= 7 and len(g.edges) <= 12)
+        return g
+    g = gen_k33free(GeneratorSpec(seed=seed, tri_size=(4, 4),
+                                  strict=draw(st.booleans())))
+    hypothesis.assume(g.node_count <= 7)  # not two K5s
+    spare = [i for i, (u, v, _w) in enumerate(g.edges)
+             if min(g.degree(u), g.degree(v)) < 4]
+    drop = draw(st.sets(st.sampled_from(spare),
+                        min_size=max(0, len(g.edges) - 12)))
+    return Graph(g.node_count,
+                 [e for i, e in enumerate(g.edges) if i not in drop])
+
+
+@hypothesis.given(small_k33free())
+def test_facets_match_hull(g):
+    assert set(facet_description(g).inequalities) == \
+        set(brute_hull(cut_vectors(g)))

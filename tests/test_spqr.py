@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from cutpoly import (Graph, K33MinorError, NotTwoConnectedError,
-                     augment_with_parallel_originals, has_minor,
-                     is_k_connected, k33_decompose, maximal_completion,
-                     minor_exhaustive, recompose, spr_tree)
+                     augment_with_parallel_originals, facet_description,
+                     has_minor, is_k_connected, k33_decompose, maxcut,
+                     maximal_completion, minor_exhaustive, recompose,
+                     spr_tree)
 from cutpoly.spqr import _skeleton_graph
 from helpers import (complete, cycle, double_k5, k33, octahedron, path,
                      random_2connected, random_graph)
@@ -210,3 +212,19 @@ def test_completion_properties_random():
 def test_completion_rejects_k33():
     with pytest.raises(K33MinorError):
         maximal_completion(k33())
+
+
+def test_witness_shared_by_every_consumer():
+    """A K5 and a K33 glued on the edge 0-1, after a separate triangle:
+    the block carries both minors, so maxcut, facet_description and
+    k33_decompose all refuse it, with the same K33 skeleton."""
+    k5 = set(itertools.combinations(range(5), 2))
+    k33_edges = {(a, b) for a in (0, 5, 6) for b in (1, 7, 8)}
+    pairs = [(9, 10), (9, 11), (10, 11)] + sorted(k5 | k33_edges)
+    g = Graph(12, [(u, v, 1) for u, v in pairs])
+    witness = k33_decompose(g).witness
+    assert witness is not None and witness.nodes == (0, 1, 5, 6, 7, 8)
+    for solve in (maxcut, facet_description):
+        with pytest.raises(K33MinorError) as info:
+            solve(g)
+        assert info.value.witness == witness

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from cutpoly import (GeneratorSpec, MatchingError, TJoinError, gen_k33free,
-                     maxcut, maxcut_bruteforce, min_weight_perfect_matching,
-                     min_weight_t_join, planar_embed)
+from cutpoly import (GeneratorSpec, MatchingError, TJoinError,
+                     decompose_blocks, gen_k33free, maxcut, maxcut_bruteforce,
+                     min_weight_perfect_matching, min_weight_t_join,
+                     planar_embed)
 from cutpoly import planar as planar_mod
 from cutpoly import tjoin as tjoin_mod
 from cutpoly.tjoin import _Blossom
@@ -356,7 +357,7 @@ def test_one_embedding_per_planar_skeleton(monkeypatch):
     for seed in range(4):
         g = gen_k33free(GeneratorSpec(seed=seed, component_count=6))
         calls.clear()
-        state = maxcut_mod.EliminationState(g)
+        state = maxcut_mod.EliminationState(decompose_blocks(g)[0])
         planar = [sid for sid, (cls, _e) in state.r_skeletons.items()
                   if cls != "K5"]
         state.run()
