@@ -267,103 +267,101 @@ class BlockDecomposition:
     cut_nodes: frozenset[int]
 
 
-def blocks(g: Graph) -> BlockDecomposition:
-    """Standard block / cut-node decomposition (iterative lowpoint DFS).
-
-    Every edge lands in exactly one block; isolated nodes are in none.
-    """
-    n = g.node_count
-    disc = [0] * n          # 0 = unvisited, else discovery time
+def _lowpoint(adj, masked: int | None = None
+              ) -> tuple[list[list[int]], set[int], int]:
+    """Iterative lowpoint DFS (Hopcroft-Tarjan) over `adj`, the
+    (neighbour, edge index) lists of nodes 0..n-1, never entering node
+    `masked`.  Returns the blocks as edge-index lists, the cut nodes and
+    the number of DFS trees."""
+    n = len(adj)
+    disc = [0] * n          # 0 = unvisited, -1 = masked, else discovery time
+    if masked is not None:
+        disc[masked] = -1
     low = [0] * n
     timer = 1
-    cut_nodes: set[int] = set()
+    cut: set[int] = set()
+    parts: list[list[int]] = []
     edge_stack: list[int] = []
-    raw_blocks: list[tuple[frozenset[int], tuple[int, ...]]] = []
-
+    trees = 0
     for root in range(n):
         if disc[root]:
             continue
-        # each stack frame: (node, parent_edge_index, neighbor iterator)
+        trees += 1
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, iter(g.neighbors(root)))]
-        root_children = 0
+        children = 0
+        # each stack frame: (node, parent, parent edge, neighbour iterator)
+        stack = [(root, -1, -1, iter(adj[root]))]
         while stack:
-            x, pedge, it = stack[-1]
-            advanced = False
+            x, px, pedge, it = stack[-1]
             for y, i in it:
-                if i == pedge:
-                    continue
-                if not disc[y]:
+                dy = disc[y]
+                if not dy:
                     edge_stack.append(i)
                     disc[y] = low[y] = timer
                     timer += 1
-                    stack.append((y, i, iter(g.neighbors(y))))
-                    if x == root:
-                        root_children += 1
-                    advanced = True
+                    stack.append((y, x, i, iter(adj[y])))
                     break
-                if disc[y] < disc[x]:
+                if 0 < dy < disc[x] and i != pedge:
                     edge_stack.append(i)
-                    low[x] = min(low[x], disc[y])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                px = stack[-1][0]
+                    low[x] = min(low[x], dy)
+            else:
+                stack.pop()
+                if px < 0:
+                    continue
                 low[px] = min(low[px], low[x])
                 if low[x] >= disc[px]:
                     # px closes a block: everything pushed after the tree
                     # edge (px, x), plus that edge, is one block
                     part: list[int] = []
-                    while True:
-                        i = edge_stack.pop()
-                        part.append(i)
-                        if i == pedge:
-                            break
-                    nodes = frozenset(itertools.chain.from_iterable(
-                        g.edges[i][:2] for i in part))
-                    raw_blocks.append((nodes, tuple(sorted(part))))
-                    if px != root:
-                        cut_nodes.add(px)
-        if root_children >= 2:
-            cut_nodes.add(root)
-    raw_blocks.sort(key=lambda b: b[1])
-    return BlockDecomposition(tuple(raw_blocks), frozenset(cut_nodes))
+                    while not part or part[-1] != pedge:
+                        part.append(edge_stack.pop())
+                    parts.append(part)
+                    if px == root:
+                        children += 1
+                    else:
+                        cut.add(px)
+        if children >= 2:
+            cut.add(root)
+    return parts, cut, trees
 
 
-def _is_biconnected(g: Graph) -> bool:
-    """One block spanning every node (callers guarantee node_count >= 3)."""
-    bd = blocks(g)
-    return len(bd.blocks) == 1 and len(bd.blocks[0][0]) == g.node_count
+def blocks(g: Graph) -> BlockDecomposition:
+    """Standard block / cut-node decomposition (one lowpoint DFS).
+
+    Every edge lands in exactly one block; isolated nodes are in none.
+    """
+    parts, cut, _trees = _lowpoint(g._adj)
+    raw_blocks = sorted(((frozenset(itertools.chain.from_iterable(
+        g.edges[i][:2] for i in part)), tuple(sorted(part)))
+        for part in parts), key=lambda b: b[1])
+    return BlockDecomposition(tuple(raw_blocks), frozenset(cut))
+
+
+def masked_cut_nodes(adj, v: int | None) -> tuple[set[int], bool]:
+    """Cut nodes of G-v, and whether G-v is connected, by one lowpoint
+    DFS over the shared adjacency `adj` of G (as in `_lowpoint`) with v
+    masked (v None masks nothing); no Graph is built per G-v."""
+    _parts, cut, trees = _lowpoint(adj, v)
+    return cut, trees <= 1
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """k-connectivity (k in {1,2,3}) from the block decomposition.
+    """k-connectivity (k in {1,2,3}).
 
     Requires node_count > k for k >= 2, so K2 is connected but not
     2-connected, matching the ear-decomposition characterization.  G is
-    2-connected iff it is a single block on all nodes, and 3-connected iff
-    moreover every G-v is 2-connected.
+    2-connected iff it is connected without cut nodes, and 3-connected iff
+    every G-v is: the cut nodes of G-v by one masked lowpoint sweep.
     """
     if k not in (1, 2, 3):
         raise GraphError("k must be 1, 2 or 3")
     if k == 1:
         return is_connected(g)
-    if g.node_count <= k:
+    if g.node_count <= k or any(g.degree(v) < k for v in range(g.node_count)):
         return False
-    if not is_connected(g):
-        return False
-    if any(g.degree(v) < k for v in range(g.node_count)):
-        return False
-    if not _is_biconnected(g):
-        return False
-    if k == 2:
-        return True
-    return all(_is_biconnected(compact_graph(
-        [x for x in range(g.node_count) if x != v],
-        [e for e in g.edges if v not in e[:2]])[0])
-        for v in range(g.node_count))
+    masked = [None] if k == 2 else range(g.node_count)
+    return all(masked_cut_nodes(g._adj, v) == (set(), True) for v in masked)
 
 
 # -- substructures ---------------------------------------------------------

@@ -1,17 +1,17 @@
 """Planarity testing, combinatorial embeddings, faces and dual graphs.
 
-The embedding algorithm is the classic incremental face/fragment method:
-start from a cycle, repeatedly pick a fragment of the remaining graph and
-route one of its paths through an admissible face.  Quadratic, exact, and
-it produces a rotation system; that is all the solvers need at this scale.
+The embedding is the Demoucron-Malgrange-Pertuiset face/fragment method,
+made incremental: from a cycle, route fragment paths through admissible
+faces; each step splits only the routed fragment into its remaining pieces
+and re-tests only the fragments that listed the face it split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (Graph, GraphError, blocks, compact_graph, initial_cycle,
-                     is_connected)
+from .graphs import (CertificationError, Graph, GraphError, blocks,
+                     compact_graph, initial_cycle, is_connected)
 
 
 class DisconnectedError(GraphError):
@@ -42,69 +42,67 @@ def _embed_biconnected(g: Graph) -> list[list[int]] | None:
     """Oriented face cycles of a 2-connected planar graph, else None.
 
     Faces are vertex cycles; across all faces every directed edge occurs
-    exactly once.
+    exactly once.  Each step routes a path of one fragment through one of
+    its admissible faces: the first fragment, in (attachments, edges)
+    order, with a single admissible face, else the first fragment and its
+    lowest admissible face id.  A fragment without an admissible face
+    means g is non-planar.
     """
     cycle = initial_cycle(g)
     faces: list[list[int]] = [list(cycle), list(reversed(cycle))]
-    embedded = {g.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])
-                for i in range(len(cycle))}
+    face_sets = [set(cycle), set(cycle)]
     h_nodes = set(cycle)
+    # live fragments, keyed (attachments, edges): admissible face ids and
+    # inner nodes (the fragment's nodes outside H)
+    admissible: dict[tuple, set[int]] = {}
+    inner: dict[tuple, set[int]] = {}
 
-    while len(embedded) < len(g.edges):
-        # fragments of G relative to the embedded subgraph H
-        fragments: list[tuple[tuple[int, ...], list[int]]] = []  # (attachments, edges)
-        for i, (u, v, _w) in enumerate(g.edges):
-            if i in embedded:
-                continue
-            if u in h_nodes and v in h_nodes:
-                fragments.append(((min(u, v), max(u, v)), [i]))
-        visited = set()
-        for s in range(g.node_count):
-            if s in h_nodes or s in visited:
-                continue
-            comp = {s}
-            stack = [s]
+    def add_fragments(edge_ids, free: set[int], fids) -> None:
+        """Register the fragments formed by the given unembedded edges and
+        non-H nodes, with their admissible faces among `fids`."""
+        new = [((g.edges[i][:2], (i,)), set()) for i in edge_ids
+               if h_nodes.issuperset(g.edges[i][:2])]
+        while free:
+            comp = {free.pop()}
+            stack = list(comp)
             while stack:
-                x = stack.pop()
-                for y, _i in g.neighbors(x):
+                for y, _i in g.neighbors(stack.pop()):
                     if y not in h_nodes and y not in comp:
                         comp.add(y)
                         stack.append(y)
-            visited |= comp
-            att = set()
-            fedges = []
-            for i, (u, v, _w) in enumerate(g.edges):
-                if u in comp or v in comp:
-                    fedges.append(i)
-                    if u in h_nodes:
-                        att.add(u)
-                    if v in h_nodes:
-                        att.add(v)
-            fragments.append((tuple(sorted(att)), sorted(fedges)))
-        fragments.sort()
+            free -= comp
+            att = {y for x in comp for y, _i in g.neighbors(x) if y in h_nodes}
+            fedges = {i for x in comp for _y, i in g.neighbors(x)}
+            new.append(((tuple(sorted(att)), tuple(sorted(fedges))), comp))
+        for key, comp in new:
+            inner[key] = comp
+            admissible[key] = {f for f in fids
+                               if face_sets[f].issuperset(key[0])}
 
-        # admissible faces per fragment
-        choice = None
-        for att, fedges in fragments:
-            admissible = [fi for fi, f in enumerate(faces)
-                          if set(att) <= set(f)]
-            if not admissible:
-                return None
-            if choice is None or (len(admissible) == 1 and choice[2] > 1):
-                choice = (att, fedges, len(admissible), admissible[0])
-            if len(admissible) == 1:
-                break
-        assert choice is not None
-        att, fedges, _k, face_id = choice
+    cycle_edges = {g.edge_index(x, y)
+                   for x, y in zip(cycle, cycle[1:] + cycle[:1])}
+    add_fragments([i for i in range(len(g.edges)) if i not in cycle_edges],
+                  set(range(g.node_count)) - h_nodes, (0, 1))
+    while admissible:
+        if not all(admissible.values()):
+            return None  # a fragment that fits no face
+        singles = [key for key, adm in admissible.items() if len(adm) == 1]
+        key = min(singles) if singles else min(admissible)
+        face_id = min(admissible.pop(key))
+        att, fedges = key
 
         # a path through the fragment between two attachment nodes
-        a, b = att[0], att[1] if len(att) > 1 else att[0]
-        assert a != b, "fragment of a 2-connected graph has >= 2 attachments"
+        if len(att) < 2:
+            raise CertificationError(
+                "fragment of a 2-connected graph has >= 2 attachments")
+        a, b = att[:2]
         fset = set(fedges)
         pred = {a: -1}
         frontier = [a]
         while b not in pred:
-            assert frontier, "fragment must connect its attachments"
+            if not frontier:
+                raise CertificationError(
+                    "fragment must connect its attachments")
             nxt = []
             for x in frontier:
                 for y, i in g.neighbors(x):
@@ -117,25 +115,29 @@ def _embed_biconnected(g: Graph) -> list[list[int]] | None:
             frontier = nxt
         path = [b]
         while path[-1] != a:
-            path.append(pred[path[-1]])
-        path.reverse()  # a .. b
+            path.append(pred[path[-1]])  # b .. a
 
-        face = faces[face_id]
-        ia, ib = face.index(a), face.index(b)
-        if ia < ib:
-            arc1 = face[ia:ib + 1]          # a .. b along the face
-            arc2 = face[ib:] + face[:ia + 1]  # b .. a along the face
-        else:
-            arc1 = face[ia:] + face[:ib + 1]
-            arc2 = face[ib:ia + 1]
-        interior = path[1:-1]
-        new1 = arc1[:-1] + list(reversed(path))[:-1]  # a..b then b..a via path
-        new2 = arc2[:-1] + path[:-1]                  # b..a then a..b via path
-        faces[face_id] = new1
-        faces.append(new2)
-        for i in range(len(path) - 1):
-            embedded.add(g.edge_index(path[i], path[i + 1]))
-        h_nodes.update(interior)
+        ia = faces[face_id].index(a)
+        face = faces[face_id][ia:] + faces[face_id][:ia]  # from a
+        ib = face.index(b)
+        new_id = len(faces)
+        faces[face_id] = face[:ib] + path[:-1]  # a..b, then back via path
+        faces.append(face[ib:] + path[:0:-1])   # b..a, then on via path
+        face_sets[face_id] = set(faces[face_id])
+        face_sets.append(set(faces[new_id]))
+        h_nodes.update(path)
+
+        # only the fragments that listed the split face change
+        for other, adm in admissible.items():
+            if face_id in adm:
+                adm.discard(face_id)
+                adm.update(f for f in (face_id, new_id)
+                           if face_sets[f].issuperset(other[0]))
+        # the rest of the fragment falls apart into pieces that each
+        # attach to the path's interior, which only the two new faces hold
+        used = {g.edge_index(x, y) for x, y in zip(path, path[1:])}
+        add_fragments([i for i in fedges if i not in used],
+                      inner.pop(key) - h_nodes, (face_id, new_id))
     return faces
 
 
@@ -158,7 +160,8 @@ def _rotation_from_faces(g: Graph, nodes: set[int],
             if nxt == start:
                 break
             orbit.append(nxt)
-        assert len(orbit) == len(per), "embedding darts at a node form one orbit"
+        if len(orbit) != len(per):
+            raise CertificationError("embedding darts at a node form one orbit")
         rot[v] = orbit
     return rot
 

@@ -11,12 +11,14 @@ for the minor tests, the MaxCut solver and the facet code to share.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import (CertificationError, Graph, GraphError,
                      NotTwoConnectedError, blocks, compact_graph,
-                     disjoint_sets, is_connected, is_k_connected)
+                     disjoint_sets, is_connected, is_k_connected,
+                     masked_cut_nodes)
 from . import planar as planar_mod
 
 
@@ -67,33 +69,48 @@ class SprTree:
 
 
 # decomposition works on lists of (u, v, tag) with tag ("orig", idx, weight)
-# or ("virt", pair_id)
+# or ("virt", pair_id); a final component is (kind, nodes, edges, `_sweep`)
 
-def _classify(nodes: list[int], edges: list[tuple[int, int, tuple]]) -> str | None:
-    """Final-component test: 'P', 'S', 'R' or None (must split further)."""
+def _sweep(nodes: list[int], edges: list[tuple[int, int, tuple]]):
+    """Connectivity oracle of one component: v -> (cut nodes of G-v,
+    whether G-v is connected), v None for G itself.  Each answer is one
+    `masked_cut_nodes` DFS over a single shared adjacency list, computed
+    at most once, so the R test, the split search and the kind re-check
+    of a component share them."""
+    index = {x: i for i, x in enumerate(nodes)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for i, (a, b) in enumerate({(index[u], index[v]) for u, v, _t in edges}):
+        adj[a].append((b, i))
+        adj[b].append((a, i))
+
+    @functools.cache
+    def cuts(v: int | None) -> tuple[set[int], bool]:
+        found, connected = masked_cut_nodes(adj, index.get(v))
+        return {nodes[c] for c in found}, connected
+
+    return cuts
+
+
+def _classify(nodes: list[int], edges: list[tuple[int, int, tuple]],
+              cuts) -> str | None:
+    """Final-component test: 'P', 'S', 'R' or None (must split further).
+    `cuts` is the component's `_sweep`."""
     if len(nodes) == 2:
         return "P"
-    pairs = set()
-    for u, v, _t in edges:
-        key = (min(u, v), max(u, v))
-        if key in pairs:
-            return None  # parallel edges on >= 3 nodes: split at that pair
-        pairs.add(key)
-    deg: dict[int, int] = {x: 0 for x in nodes}
-    for u, v, _t in edges:
-        deg[u] += 1
-        deg[v] += 1
-    g, _ = compact_graph(nodes, [(u, v, 0) for u, v, _t in edges])
-    if not is_connected(g):
+    if len({(min(u, v), max(u, v)) for u, v, _t in edges}) < len(edges):
+        return None  # parallel edges on >= 3 nodes: split at that pair
+    if cuts(None) != (set(), True):
         return None
-    if all(d == 2 for d in deg.values()) and len(edges) == len(nodes):
+    # a 2-connected simple graph with as many edges as nodes is a cycle;
+    # it is 3-connected when every G-v is connected and cut-node free
+    if len(edges) == len(nodes):
         return "S"
-    if is_k_connected(g, 3):
+    if len(nodes) > 3 and all(cuts(v) == (set(), True) for v in nodes):
         return "R"
     return None
 
 
-def _split_classes(nodes: list[int], edges: list[tuple[int, int, tuple]],
+def _split_classes(edges: list[tuple[int, int, tuple]],
                    v: int, w: int) -> list[list[int]]:
     """Split classes of pair {v, w}: edge-index groups connected through
     internal nodes outside {v, w}.  Each parallel v-w edge is a singleton."""
@@ -106,51 +123,44 @@ def _split_classes(nodes: list[int], edges: list[tuple[int, int, tuple]],
     return disjoint_sets(len(edges), pairs)
 
 
-def _split_candidates(nodes: list[int], edges: list[tuple[int, int, tuple]],
-                      v: int) -> list[int]:
-    """Partners w > v that can form a split pair with v: the cut nodes of
-    G-v (then G-{v, w} is disconnected, giving two classes of >= 2 edges)
-    and the nodes joined to v by parallel edges (two singleton classes)."""
-    simple = {(min(a, b), max(a, b)) for a, b, _t in edges if v not in (a, b)}
-    sub, to_sub = compact_graph([x for x in nodes if x != v],
-                                [(a, b, 0) for a, b in simple])
-    back = {i: x for x, i in to_sub.items()}
-    found = {back[c] for c in blocks(sub).cut_nodes}
-    partners = Counter(b if a == v else a for a, b, _t in edges if v in (a, b))
-    found.update(w for w, c in partners.items() if c >= 2)
-    return sorted(w for w in found if w > v)
-
-
-def _find_split(nodes: list[int], edges: list[tuple[int, int, tuple]]):
+def _find_split(nodes: list[int], edges: list[tuple[int, int, tuple]], cuts):
     """A split pair with a bipartition of its classes, both sides >= 2 edges.
 
-    Pairs are tried in lexicographic order; only the candidates of
-    `_split_candidates` can succeed, so the first split found is the same
-    as in a scan over all pairs.
+    Pairs are tried in lexicographic order; only the partners below can
+    succeed, so the first split found is the same as in a scan over all
+    pairs.
     """
     for v in sorted(nodes):
-        for w in _split_candidates(nodes, edges, v):
-            classes = _split_classes(nodes, edges, v, w)
+        # partners w > v that can form a split pair with v: the cut nodes
+        # of G-v (then G-{v, w} is disconnected, giving two classes of >= 2
+        # edges) and the nodes joined to v by parallel edges (two singleton
+        # classes)
+        partners = Counter(b if a == v else a for a, b, _t in edges if v in (a, b))
+        found = cuts(v)[0] | {w for w, c in partners.items() if c >= 2}
+        for w in sorted(w for w in found if w > v):
+            classes = _split_classes(edges, v, w)
             singles = [c for c in classes if len(c) == 1]
             bigs = [c for c in classes if len(c) >= 2]
             if len(bigs) >= 2:
                 side_a = bigs[0]
-                rest = [i for i in range(len(edges)) if i not in set(side_a)]
-                return v, w, side_a, rest
-            if len(singles) >= 2:
+            elif len(singles) >= 2:
                 side_a = [i for c in singles for i in c]
-                rest = [i for i in range(len(edges)) if i not in set(side_a)]
-                if len(rest) >= 2:
-                    return v, w, side_a, rest
+            else:
+                continue
+            taken = set(side_a)
+            rest = [i for i in range(len(edges)) if i not in taken]
+            if len(rest) >= 2:
+                return v, w, side_a, rest
     return None
 
 
 def _decompose(nodes: list[int], edges: list[tuple[int, int, tuple]],
-               next_pid: list[int]) -> list[tuple[str, list[int], list[tuple]]]:
-    kind = _classify(nodes, edges)
+               next_pid: list[int]) -> list[tuple]:
+    cuts = _sweep(nodes, edges)
+    kind = _classify(nodes, edges, cuts)
     if kind is not None:
-        return [(kind, nodes, edges)]
-    found = _find_split(nodes, edges)
+        return [(kind, nodes, edges, cuts)]
+    found = _find_split(nodes, edges, cuts)
     if found is None:
         raise CertificationError("non-final component must have a split pair")
     v, w, side_a, side_b = found
@@ -164,11 +174,11 @@ def _decompose(nodes: list[int], edges: list[tuple[int, int, tuple]],
     return out
 
 
-def _merge_same_kind(comps: list[tuple[str, list[int], list[tuple]]]):
+def _merge_same_kind(comps: list[tuple]):
     """Merge adjacent S-S and P-P components along their shared pair id."""
     while True:
         owner: dict[int, list[int]] = {}
-        for ci, (_k, _n, es) in enumerate(comps):
+        for ci, (_k, _n, es, _c) in enumerate(comps):
             for _u, _v, t in es:
                 if t[0] == "virt":
                     owner.setdefault(t[1], []).append(ci)
@@ -182,13 +192,12 @@ def _merge_same_kind(comps: list[tuple[str, list[int], list[tuple]]]):
         if todo is None:
             return comps
         pid, a, b = todo
-        ka, na, ea = comps[a]
-        _kb, nb, eb = comps[b]
-        merged_edges = [e for e in ea if not (e[2][0] == "virt" and e[2][1] == pid)]
-        merged_edges += [e for e in eb if not (e[2][0] == "virt" and e[2][1] == pid)]
+        (ka, na, ea, _ca), (_kb, nb, eb, _cb) = comps[a], comps[b]
+        merged_edges = [e for e in ea + eb if e[2] != ("virt", pid)]
         merged_nodes = sorted(set(na) | set(nb))
         comps = [c for i, c in enumerate(comps) if i not in (a, b)]
-        comps.append((ka, merged_nodes, merged_edges))
+        comps.append((ka, merged_nodes, merged_edges,
+                      _sweep(merged_nodes, merged_edges)))
 
 
 def spr_tree(g: Graph) -> SprTree:
@@ -204,17 +213,17 @@ def spr_tree(g: Graph) -> SprTree:
 
 
 def _build_tree(g: Graph,
-                comps: list[tuple[str, list[int], list[tuple]]]) -> SprTree:
+                comps: list[tuple]) -> SprTree:
     # deterministic node ids: sort by (smallest original ref, kind, nodes)
     def sort_key(comp):
-        kind, nodes, edges = comp
+        kind, nodes, edges, _cuts = comp
         origs = sorted(t[1] for _u, _v, t in edges if t[0] == "orig")
         return (origs[0] if origs else len(g.edges), kind, tuple(nodes))
 
     comps = sorted(comps, key=sort_key)
     skel_nodes = []
     owner: dict[int, list[int]] = {}
-    for i, (kind, nodes, edges) in enumerate(comps):
+    for i, (kind, nodes, edges, cuts) in enumerate(comps):
         skel_edges = []
         for u, v, t in sorted(edges, key=lambda e: (e[2][0] != "orig", e[2][1])):
             if t[0] == "orig":
@@ -222,8 +231,9 @@ def _build_tree(g: Graph,
             else:
                 skel_edges.append(SkelEdge(u, v, "virt", t[1], 0))
                 owner.setdefault(t[1], []).append(i)
-        # re-derive and check the kind
-        check = _classify(list(nodes), [(e.u, e.v, None) for e in skel_edges])
+        # re-derive and check the kind (on the component's own sweep)
+        check = _classify(list(nodes), [(e.u, e.v, None) for e in skel_edges],
+                          cuts)
         if check != kind:
             raise CertificationError(f"skeleton kind drift: {check} != {kind}")
         skel_nodes.append(SkeletonNode(i, kind, tuple(nodes), tuple(skel_edges)))

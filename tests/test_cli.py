@@ -245,8 +245,8 @@ def test_facets_same_without_asserts(tmp_path):
 KIND_DRIFT = """
 from cutpoly import CertificationError, Graph, spqr
 real = spqr._classify
-def drifting(nodes, edges):
-    kind = real(nodes, edges)
+def drifting(nodes, edges, cuts):
+    kind = real(nodes, edges, cuts)
     return "S" if kind == "R" and edges[0][2] is None else kind
 spqr._classify = drifting
 try:

@@ -1,15 +1,16 @@
 """Differential tests of k-connectivity and the SPR tree against networkx.
 
 networkx is an independent oracle here: `node_connectivity` runs its own
-flow computation, sharing no code with the block decomposition behind
-`is_k_connected`.
+flow computation and `articulation_points` its own DFS, sharing no code
+with the lowpoint sweep behind `is_k_connected` and the SPR tree.
 """
 
 import random
 
 import pytest
 
-from cutpoly import Graph, is_k_connected, spr_tree
+from cutpoly import GeneratorSpec, Graph, gen_k33free, is_k_connected, spr_tree
+from cutpoly.graphs import masked_cut_nodes
 from cutpoly.spqr import _skeleton_graph
 from helpers import complete, cycle, path, random_2connected
 
@@ -77,3 +78,29 @@ def test_spr_r_skeletons_are_3_connected_per_networkx():
             assert nx.node_connectivity(to_nx(sg)) >= 3, sn
             r_count += 1
     assert r_count >= 50
+
+
+def generated() -> list[Graph]:
+    """Generated K33-minor-free graphs: strict and not, thinned and not."""
+    return [gen_k33free(GeneratorSpec(seed=s, component_count=1 + s % 4,
+                                      strict=s % 3 > 0,
+                                      deletion_prob=(s % 2, 3)))
+            for s in range(40)]
+
+
+def test_masked_sweep_matches_articulation_points():
+    """For G and for every G-v, the sweep's cut nodes and connectivity
+    verdict equal networkx's."""
+    checked = 0
+    for g in CORPUS + generated():
+        adj = [g.neighbors(x) for x in range(g.node_count)]
+        h = to_nx(g)
+        for v in [None, *range(g.node_count)]:
+            hv = h.copy()
+            if v is not None:
+                hv.remove_node(v)
+            connected = len(hv) == 0 or nx.is_connected(hv)
+            want = set(nx.articulation_points(hv)), connected
+            assert masked_cut_nodes(adj, v) == want, (v, g.edges)
+            checked += bool(want[0])
+    assert checked > 500  # plenty of G-v with cut nodes

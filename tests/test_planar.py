@@ -1,11 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cutpoly import (DisconnectedError, Graph, dual_graph, enumerate_cuts,
-                     faces_of, minor_exhaustive, planar_embed)
-from helpers import complete, cycle, k33, octahedron, random_graph
+import cutpoly
+from cutpoly import (DisconnectedError, GeneratorSpec, Graph, decompose_blocks,
+                     dual_graph, enumerate_cuts, faces_of, gen_k33free,
+                     minor_exhaustive, planar_embed)
+from cutpoly.planar import _embed_biconnected
+from cutpoly.spqr import _skeleton_graph
+from fragment_embedding import embed_biconnected
+from helpers import (complete, cycle, k33, octahedron, random_graph,
+                     stacked_triangulation)
 
 
 def test_k4_embedding_euler():
@@ -58,7 +68,6 @@ def test_embed_requires_connected():
 
 
 def _random_connected_planar(seed: int) -> Graph:
-    from helpers import stacked_triangulation
     from cutpoly import is_connected
     rnd = random.Random(seed)
     g = stacked_triangulation(rnd.randrange(4, 10), rnd)
@@ -111,3 +120,81 @@ def test_duality_cuts_are_even_dual_subgraphs():
         assert len(cuts) == 2 ** (g.node_count - 1)
         cycle_dim = len(d.edges) - d.node_count + 1
         assert cycle_dim == g.node_count - 1
+
+
+# -- the incremental embedding against the full recompute ---------------------
+
+def _generated_pieces() -> list[Graph]:
+    """Each block with a tree, and each S and R skeleton of it, of the
+    generated K33-minor-free graphs with n <= 40: planar and K5 pieces,
+    strict and non-strict sums, thinned or not."""
+    out = []
+    for seed in range(150):
+        g = gen_k33free(GeneratorSpec(
+            seed=seed, component_count=1 + seed % 6,
+            tri_size=(4, 4 + seed % 14), strict=seed % 3 > 0,
+            deletion_prob=(seed % 2, 4)))
+        if g.node_count > 40:
+            continue
+        for block in decompose_blocks(g):
+            if block.tree is not None:
+                out.append(block.graph)
+                out += [_skeleton_graph(sn)[0] for sn in block.tree.nodes
+                        if sn.kind != "P"]
+    return out
+
+
+def test_incremental_embedding_equals_full_recompute():
+    graphs = _generated_pieces()
+    graphs += [stacked_triangulation(n, random.Random(n))
+               for n in range(4, 41, 3)]
+    verdicts = [0, 0]
+    for g in graphs:
+        faces = _embed_biconnected(g)
+        assert faces == embed_biconnected(g), g.edges
+        verdicts[faces is None] += 1
+    assert min(verdicts) >= 50, verdicts  # planar and non-planar alike
+
+
+def _subdivided(g: Graph, count: int, rnd: random.Random) -> Graph:
+    """g with `count` random edges subdivided by a new node each."""
+    edges, n = list(g.edges), g.node_count
+    for _ in range(count):
+        u, v, w = edges.pop(rnd.randrange(len(edges)))
+        edges += [(u, n, w), (v, n, w)]
+        n += 1
+    return Graph(n, edges)
+
+
+def test_kuratowski_subdivisions_stay_nonplanar():
+    rnd = random.Random(33)
+    for base in (complete(5), k33()):
+        for count in range(12):
+            g = _subdivided(base, count, rnd)
+            assert _embed_biconnected(g) is None
+            assert embed_biconnected(g) is None
+
+
+# the wheel W4 (hub 4 on the rim 0-1-2-3) with faces that split the hub's
+# darts into two orbits, 0 <-> 1 and 2 <-> 3
+ORBIT_SPLIT = """
+from cutpoly import CertificationError, Graph, planar
+planar._embed_biconnected = lambda g: [[0, 4, 1], [1, 4, 0], [2, 4, 3],
+                                       [3, 4, 2]]
+rim = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
+try:
+    planar.planar_embed(Graph(5, rim + [(x, 4, 1) for x in range(4)]))
+except CertificationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_orbit_check_raises_without_asserts(flags):
+    src = str(Path(cutpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *flags, "-c", ORBIT_SPLIT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "embedding darts at a node form one orbit\n"

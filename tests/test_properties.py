@@ -10,6 +10,8 @@ import pytest
 from cutpoly import GeneratorSpec, Graph, brute_hull, cut_vectors, \
     cut_weight, decompose_blocks, facet_description, gen_k33free, maxcut, \
     maxcut_bruteforce, min_weight_t_join, planar_embed
+from cutpoly.graphs import masked_cut_nodes
+from allpairs_tjoin import allpairs_t_join
 from helpers import tjoin_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -70,6 +72,15 @@ def test_tjoin_matches_subset_enumeration(instance):
     assert {v for v in range(n) if odd[v]} == terminals
 
 
+@hypothesis.given(tjoin_instances())
+def test_tjoin_equals_allpairs_paths(instance):
+    """Paths traced only for the matched pairs give the join of the
+    all-pairs paths."""
+    n, edges, terminals = instance
+    assert min_weight_t_join(n, edges, terminals) \
+        == allpairs_t_join(n, edges, terminals)
+
+
 @st.composite
 def simple_graphs(draw):
     """A connected simple graph on 1..9 nodes: a random spanning tree,
@@ -97,6 +108,21 @@ def test_planarity_matches_networkx(g):
     assert (planar_embed(g) is not None) == planar
     assert all(emb is not None for block in decompose_blocks(g)
                for _cls, emb in block.r_skeletons.values()) == planar
+
+
+@hypothesis.given(simple_graphs())
+def test_masked_sweep_matches_networkx(g):
+    """The cut nodes of every G-v, by the masked sweep, are networkx's
+    articulation points of G-v."""
+    nx = pytest.importorskip("networkx")
+    adj = [g.neighbors(x) for x in range(g.node_count)]
+    for v in range(g.node_count):
+        h = nx.Graph()
+        h.add_nodes_from(x for x in range(g.node_count) if x != v)
+        h.add_edges_from((a, b) for a, b, _w in g.edges if v not in (a, b))
+        connected = len(h) == 0 or nx.is_connected(h)
+        assert masked_cut_nodes(adj, v) \
+            == (set(nx.articulation_points(h)), connected)
 
 
 @st.composite

@@ -13,6 +13,7 @@ from cutpoly import (GeneratorSpec, MatchingError, TJoinError,
 from cutpoly import planar as planar_mod
 from cutpoly import tjoin as tjoin_mod
 from cutpoly.tjoin import _Blossom
+from allpairs_tjoin import allpairs_t_join
 from fraction_blossom import FractionBlossom
 from helpers import matching_oracle, tjoin_oracle
 
@@ -201,6 +202,51 @@ def test_tjoin_negative_transform_identity():
         t2 = terminals ^ {v for v in range(n) if flip[v]}
         _j2, total2 = min_weight_t_join(n, [(u, v, abs(w)) for u, v, w in edges], t2)
         assert total == neg_sum + total2
+
+
+# -- paths traced for matched pairs against all-pairs paths --------------------
+
+def _tie_heavy_instances(count, seed):
+    """Connected multigraphs, n <= 15, whose weights are mostly 0 (so
+    zero-weight cycles and tied shortest paths abound), some negative,
+    with parallels and loops, and an even terminal set."""
+    rnd = random.Random(seed)
+    weights = [0, 0, 0, 0, 1, 2, 5, -1, -3]
+    for _ in range(count):
+        n = rnd.randrange(1, 16)
+        edges = [(rnd.randrange(v), v, rnd.choice(weights))
+                 for v in range(1, n)]
+        for _ in range(rnd.randrange(2 * n + 1)):
+            u, v = rnd.randrange(n), rnd.randrange(n)
+            edges.append((min(u, v), max(u, v), rnd.choice(weights)))
+        rnd.shuffle(edges)
+        yield n, edges, rnd.sample(range(n), 2 * rnd.randrange(n // 2 + 1))
+
+
+def test_tjoin_equals_allpairs_paths():
+    for n, edges, terminals in _tie_heavy_instances(500, seed=2019):
+        expect = allpairs_t_join(n, edges, terminals)
+        assert min_weight_t_join(n, edges, terminals) == expect, \
+            (n, edges, terminals)
+
+
+def test_tjoin_equals_allpairs_paths_on_planar_duals(monkeypatch):
+    """The dual T-joins `maxcut` solves (zero-weight augmentation edges
+    included) give the same join as the all-pairs paths."""
+    calls = []
+    real = tjoin_mod.min_weight_t_join
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tjoin_mod, "min_weight_t_join", spy)
+    for spec in [GeneratorSpec(seed=s, component_count=1 + s % 5,
+                               tri_size=(4, 12)) for s in range(20)]:
+        maxcut(gen_k33free(spec))
+    assert len(calls) > 40
+    for args in calls:
+        assert real(*args) == allpairs_t_join(*args)
 
 
 # -- integer duals against the Fraction solver -----------------------------------
