@@ -12,8 +12,8 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .graphs import Graph, SizeLimitError, blocks, chordless_cycles, \
-    compact_graph, connected_components, cut_vectors
+from .graphs import CertificationError, Graph, SizeLimitError, blocks, \
+    chordless_cycles, compact_graph, connected_components, cut_vectors
 from .minors import c4_minor_block
 from .polytope import LinearInequality, brute_hull
 
@@ -126,7 +126,8 @@ def _non_simplicity_certificate(g: Graph) -> tuple[LinearInequality, ...]:
             by_edge[e].append(cyc)
     out = []
     for e in range(m):
-        assert by_edge[e], "every edge of a 2-connected graph lies on a cycle"
+        if not by_edge[e]:
+            raise CertificationError("edge on no chordless cycle")
         out.append(_rooted_cycle(g, by_edge[e][0], e))
     if all(g.degree(v) == 2 for v in range(g.node_count)):
         lo = [0] * m
@@ -136,7 +137,8 @@ def _non_simplicity_certificate(g: Graph) -> tuple[LinearInequality, ...]:
         e = next(e for e in range(m) if len(by_edge[e]) >= 2)
         out.append(_rooted_cycle(g, by_edge[e][1], e))
     uniq = tuple(sorted(set(out), key=lambda q: (q.coeffs, q.rhs)))
-    assert len(uniq) == m + 1, "certificate must have |E|+1 distinct facets"
+    if len(uniq) != m + 1:
+        raise CertificationError("certificate must have |E|+1 distinct facets")
     return uniq
 
 
@@ -171,10 +173,15 @@ def guarded_cut_vectors(g: Graph) -> list[tuple[int, ...]]:
 
 def hull_verdicts(vectors, facets) -> tuple[bool, bool]:
     """(simple, simplicial) from the incidences of the cut vectors of a
-    graph with the facets of their hull."""
+    graph with the facets of their hull.  The facet counts reuse the vector
+    rows read up to the first miss, so no incidence is decided twice."""
     m = len(vectors[0])
-    simple = all(sum(q.evaluate(x) == q.rhs for q in facets) == m
-                 for x in vectors)
-    simplicial = all(sum(q.evaluate(x) == q.rhs for x in vectors) == m
-                     for q in facets)
-    return simple, simplicial
+    rows = []  # rows[i][j]: vector i lies on facet j
+    for x in vectors:
+        rows.append([q.evaluate(x) == q.rhs for q in facets])
+        if sum(rows[-1]) != m:
+            break
+    rest = vectors[len(rows):]
+    return not rest and sum(rows[-1]) == m, all(
+        sum(row[j] for row in rows) + sum(q.evaluate(x) == q.rhs for x in rest)
+        == m for j, q in enumerate(facets))

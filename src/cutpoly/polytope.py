@@ -27,6 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 import numpy as np
 
@@ -371,15 +372,16 @@ def brute_hull(points) -> list[LinearInequality]:
         raise SizeLimitError("brute_hull guard: dimension <= 12")
     if len(pts) > 64:
         raise SizeLimitError("brute_hull guard: <= 64 vertices")
-    if affine_rank(pts) != dim:
-        raise GraphError("brute_hull needs full-dimensional input")
     k = len(pts)
     sums = [sum(p[i] for p in pts) for i in range(dim)]
     # polar constraints (p_i - centroid) . y <= 1, homogenized and scaled
-    # by k to integer rows (k*p_i - sum, -k) . (y, t) <= 0; plus t >= 0
+    # by k to integer rows (k*p_i - sum, -k) . (y, t) <= 0; plus t >= 0.
+    # They span R^(dim+1) exactly when the points are full-dimensional.
     rows = [[k * p[i] - sums[i] for i in range(dim)] + [-k] for p in pts]
     rows.append([0] * dim + [-1])
     rays = _dd_cone(rows)
+    if rays is None:
+        raise GraphError("brute_hull needs full-dimensional input")
     out = []
     for ray in rays:
         t = ray[dim]
@@ -394,12 +396,22 @@ def brute_hull(points) -> list[LinearInequality]:
     return sorted(set(out), key=lambda q: (q.coeffs, q.rhs))
 
 
-def _dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]]:
-    """Extreme rays of {x : rows . x <= 0} by incremental double description.
+def _dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]] | None:
+    """Extreme rays of {x : rows . x <= 0}, as primitive integer vectors,
+    by incremental double description; None when the rows do not span the
+    space.  The cone must be full-dimensional (the polar above is).
 
-    The cone must be pointed and full-dimensional (true for the polar
-    homogenization above).  Rays come back as primitive integer vectors;
-    adjacency of rays is decided combinatorially on exact tight sets.
+    Tight sets, the processed rows a ray lies on, are bitmasks over row
+    indices and never recomputed.  Start ray j, column j of -B^-1 for the
+    first basis B, is tight on every basis row but row j.  Adding row r
+    takes one product r . x per live ray, and a kept ray rk (r . rk < 0)
+    and a dropped ray rd (r . rd > 0) give the new ray (r . rd) rk +
+    |r . rk| rd.  Both parents satisfy the processed rows with <= 0, so this
+    positive combination is tight on one of them exactly when both are: its
+    tight set is their common set plus r.  rk and rd are combined only when
+    adjacent, that is when no third ray holds their common set.  The rows
+    span, so the cone is pointed, and adjacent rays share d - 2 independent
+    tight rows: pairs sharing fewer are rejected before that scan.
     """
     d = len(rows[0])
     # Eliminate [rows^T | I].  The pivot columns among the rows are the
@@ -409,43 +421,39 @@ def _dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]]:
     work = [[r[j] for r in rows] + [int(i == j) for i in range(d)]
             for j in range(d)]
     basis = _eliminate(work)
-    if len(basis) != d or basis[-1] >= len(rows):
-        raise CertificationError("constraint rows must span the space")
-    done = list(basis)
-
-    def dot(i: int, vec: tuple[int, ...]) -> int:
-        return sum(a * b for a, b in zip(rows[i], vec))
-
-    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
-    for j, row in enumerate(work):
-        sign = 1 if row[basis[j]] > 0 else -1
-        vec = _primitive([-sign * x for x in row[len(rows):]])
-        rays.append((vec, frozenset(i for i in done if dot(i, vec) == 0)))
+    if basis[-1] >= len(rows):
+        return None
+    basis_mask = sum(1 << i for i in basis)
+    rays = [(_primitive([-x if row[b] > 0 else x for x in row[len(rows):]]),
+             basis_mask & ~(1 << b)) for row, b in zip(work, basis)]
     for idx, row in enumerate(rows):
-        if idx in basis:
+        if basis_mask >> idx & 1:
             continue
-        vals = {ray[0]: dot(idx, ray[0]) for ray in rays}
-        keep = [r for r in rays if vals[r[0]] < 0]
-        drop = [r for r in rays if vals[r[0]] > 0]
-        zero = [r for r in rays if vals[r[0]] == 0]
+        keep, drop, zero = [], [], []
+        for vec, tight in rays:
+            val = _dot(row, vec)
+            (keep if val < 0 else drop if val > 0 else zero).append(
+                (vec, tight, val))
+        lacks = [~tight for _v, tight in rays]
+        bit = 1 << idx
         new_rays = []
-        for rk, rd in itertools.product(keep, drop):
-            common = rk[1] & rd[1]
-            if any(o is not rk and o is not rd and common <= o[1]
-                   for o in rays):
-                continue
-            a, b = vals[rd[0]], vals[rk[0]]
-            vec = _primitive([a * x - b * y for x, y in zip(rk[0], rd[0])])
-            tight = frozenset(i for i in done if dot(i, vec) == 0) | {idx}
-            new_rays.append((vec, tight))
-        done.append(idx)
-        rays = ([(v, t | {idx}) for v, t in zero]
-                + keep + new_rays)
-        seen: dict[tuple[int, ...], frozenset[int]] = {}
-        for v, t in rays:
-            seen[v] = t | seen.get(v, frozenset())
-        rays = list(seen.items())
+        for vk, tk, ak in keep:
+            for vd, td, ad in drop:
+                common = tk & td
+                if common.bit_count() < d - 2:
+                    continue
+                # rk and rd hold common; a third holder means not adjacent
+                holders = (o for o in lacks if not common & o)
+                if next(itertools.islice(holders, 2, None), None) is None:
+                    vec = _primitive([ad * x - ak * y for x, y in zip(vk, vd)])
+                    new_rays.append((vec, common | bit))
+        rays = ([(v, t | bit) for v, t, _a in zero]
+                + [(v, t) for v, t, _a in keep] + new_rays)
     return [v for v, _t in rays]
+
+
+def _dot(row: list[int], vec: tuple[int, ...]) -> int:
+    return sum(map(mul, row, vec))
 
 
 def _primitive(vec) -> tuple[int, ...]:

@@ -7,10 +7,15 @@ paths with them.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
-from cutpoly import Graph, decompose_blocks, is_connected, is_k_connected
+from cutpoly import (Graph, GeneratorSpec, decompose_blocks, format_graph,
+                     gen_k33free, is_connected, is_k_connected)
 from cutpoly.spqr import _completion
 
 
@@ -111,6 +116,20 @@ def random_2connected(seed: int, nmax: int = 10) -> Graph | None:
     if not is_k_connected(g, 2) or len(g.edges) < 3:
         return None
     return g
+
+
+@functools.cache
+def verify_small_pool(seed: int = 1) -> tuple[Graph, ...]:
+    """The graphs of the benchmark's `verify-small` pool for one workload
+    seed, drawn by `perfbench/workloads.py` itself."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS["verify-small"]
+    pool, _rejected = workloads.make_pool(wl, seed, wl.pool_size, gen_k33free,
+                                          GeneratorSpec, format_graph)
+    return tuple(Graph(inst.node_count, list(inst.edges)) for inst in pool)
 
 
 def random_graph(seed: int, nmax: int = 8, p: float = 0.5) -> Graph:

@@ -2,8 +2,9 @@ import warnings
 
 import pytest
 
-from cutpoly import (Graph, SizeLimitError, brute_classify, classify,
-                     is_c4_minor_free, is_facet)
+from cutpoly import (Graph, SizeLimitError, brute_classify, brute_hull,
+                     classify, cut_vectors, is_c4_minor_free, is_facet)
+from cutpoly.classify import hull_verdicts
 from helpers import complete, connected_graphs_up_to_iso, cycle, path
 
 
@@ -88,6 +89,22 @@ def test_exhaustive_agreement_up_to_five_nodes():
             assert rep.simplicial == bsl, g.edges
             if g.node_count >= 5:
                 assert not bsl  # never simplicial from five nodes on
+
+
+def test_hull_verdicts_match_separate_counts():
+    """The shared incidence rows give the verdicts of counting each
+    vector's facets and each facet's vectors on their own, also on part
+    of a hull, where the counts disagree in other places."""
+    for g in connected_graphs_up_to_iso(5):
+        vectors = cut_vectors(g)
+        hull = brute_hull(vectors)
+        for facets in (hull, hull[::2], hull[1:]):
+            m = len(g.edges)
+            simple = all(sum(q.evaluate(x) == q.rhs for q in facets) == m
+                         for x in vectors)
+            simplicial = all(sum(q.evaluate(x) == q.rhs for x in vectors)
+                             == m for q in facets)
+            assert hull_verdicts(vectors, facets) == (simple, simplicial)
 
 
 def test_isolated_nodes_dropped_with_warning():

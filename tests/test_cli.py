@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -14,6 +15,8 @@ from cutpoly.cli import main
 from cutpoly.maxcut import EliminationState
 from helpers import complete, cycle, double_k5, k33, path, \
     stacked_triangulation
+
+classify_mod = importlib.import_module("cutpoly.classify")
 
 
 def run_cli(args, capsys):
@@ -220,8 +223,9 @@ def test_console_script_installed():
     assert proc.returncode == 0 and "maxcut" in proc.stdout
 
 
-def test_facets_same_without_asserts(tmp_path):
-    """Certification is explicit code, so `python -O` prints the same."""
+def test_facets_same_without_asserts(tmp_path, capsys):
+    """Certification is explicit code, so `python -O` prints what a plain
+    run in this process prints."""
     double = tmp_path / "double_k5.cut"  # non-strict K5+K5: needs projection
     double.write_text(format_graph(double_k5()))
     ear = tmp_path / "k5_ear.cut"  # small enough for the hull oracle
@@ -233,11 +237,11 @@ def test_facets_same_without_asserts(tmp_path):
                        (["maxcut", "--witness", str(double)], "value 12\n"),
                        (["maxcut", "--witness", str(tri)], "value 28\n"),
                        (["verify", str(ear)], "maxcut ok value ")):
-        plain = run_module("-m", "cutpoly.cli", *args)
+        code, plain, _err = run_cli(args, capsys)
         optimized = run_module("-O", "-m", "cutpoly.cli", *args)
-        assert plain.returncode == optimized.returncode == 0, args
-        assert plain.stdout.startswith(head), plain.stdout
-        assert optimized.stdout == plain.stdout
+        assert code == optimized.returncode == 0, args
+        assert plain.startswith(head), plain
+        assert optimized.stdout == plain
 
 
 # _build_tree re-derives each skeleton's kind from its untagged edges; the
@@ -261,6 +265,39 @@ def test_kind_drift_raises_without_asserts(flags):
     proc = run_module(*flags, "-c", KIND_DRIFT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "skeleton kind drift: S != R\n"
+
+
+# classify's non-simplicity certificate needs every chordless cycle: C4
+# without its one cycle leaves edges uncovered, and K4 with every cycle
+# listed twice repeats a facet
+BROKEN_CYCLES = """
+import importlib, sys
+from cutpoly import cli
+classify = importlib.import_module("cutpoly.classify")
+real = classify.chordless_cycles
+classify.chordless_cycles = {patch}
+sys.exit(cli.main(["classify", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("graph, patch", [
+    (cycle(4), "lambda g: real(g)[1:]"),
+    (complete(4), "lambda g: [c for c in real(g) for _ in (0, 1)]"),
+], ids=("dropped", "doubled"))
+def test_classify_certificate_error_exit_code(graph, patch, tmp_path,
+                                              monkeypatch, capsys):
+    """The same patch exits 4 here and under `python -O`."""
+    f = tmp_path / "g.cut"
+    f.write_text(format_graph(graph))
+    optimized = run_module("-O", "-c", BROKEN_CYCLES.format(patch=patch),
+                           str(f))
+    broken = eval(patch, {"real": classify_mod.chordless_cycles})
+    monkeypatch.setattr(classify_mod, "chordless_cycles", broken)
+    runs = [run_cli(["classify", str(f)], capsys),
+            (optimized.returncode, optimized.stdout, optimized.stderr)]
+    for code, out, err in runs:
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: CertificationError")
 
 
 def test_one_decomposition_per_block(tmp_path, capsys, monkeypatch):

@@ -14,15 +14,16 @@ from math import gcd
 
 import pytest
 
-from cutpoly import (Graph, brute_hull, cut_from_side, cut_vectors,
+from cutpoly import (Graph, GraphError, brute_hull, cut_from_side, cut_vectors,
                      cut_weight, ear_decomposition, gen_k33free,
                      GeneratorSpec, maxcut_bruteforce, planar_embed)
 from cutpoly import graphs, planar, polytope
 from cutpoly.graphs import disjoint_sets, initial_cycle
 from cutpoly.polytope import affine_rank
+from frozen_dd_cone import dd_cone
 from helpers import (complete, cycle, double_k5, octahedron, path,
                      random_2connected, random_graph,
-                     random_planar_2connected)
+                     random_planar_2connected, verify_small_pool)
 
 maxcut_mod = importlib.import_module("cutpoly.maxcut")
 
@@ -222,6 +223,29 @@ def test_brute_hull_matches_fraction_elimination(monkeypatch):
     got = [brute_hull(pts) for pts in inputs]
     monkeypatch.setattr(polytope, "_dd_cone", frac_dd_cone)
     assert got == [brute_hull(pts) for pts in inputs]
+
+
+def test_brute_hull_matches_frozen_dd_cone(monkeypatch):
+    """The same lists as with the cone from before tight sets were
+    carried, on the benchmark's verify-small pool and random point sets."""
+    inputs = [cut_vectors(g) for g in verify_small_pool(1)]
+    inputs += [pts for pts in random_point_sets(150)
+               if affine_rank(pts) == len(pts[0])]
+    got = [brute_hull(pts) for pts in inputs]
+    monkeypatch.setattr(polytope, "_dd_cone", dd_cone)
+    assert got == [brute_hull(pts) for pts in inputs]
+
+
+@pytest.mark.parametrize("pts", [
+    [(3, 1)],
+    [(0, 0), (1, 1), (2, 2), (1, 1)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1), (2, 0, 0, 1)],
+])
+def test_brute_hull_refuses_flat_points(pts):
+    assert affine_rank(pts) < len(pts[0])
+    with pytest.raises(GraphError, match="full-dimensional"):
+        brute_hull(pts)
 
 
 # -- cut enumeration --------------------------------------------------------------------

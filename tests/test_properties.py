@@ -5,13 +5,17 @@ capped, so the suite stays quick and repeatable; hypothesis explores the
 same examples on every run.
 """
 
+from unittest import mock
+
 import pytest
 
 from cutpoly import GeneratorSpec, Graph, brute_hull, cut_vectors, \
     cut_weight, decompose_blocks, facet_description, gen_k33free, maxcut, \
-    maxcut_bruteforce, min_weight_t_join, planar_embed
+    maxcut_bruteforce, min_weight_t_join, planar_embed, polytope
 from cutpoly.graphs import masked_cut_nodes
+from cutpoly.polytope import affine_rank
 from allpairs_tjoin import allpairs_t_join
+from frozen_dd_cone import dd_cone
 from helpers import tjoin_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -158,3 +162,21 @@ def small_k33free(draw):
 def test_facets_match_hull(g):
     assert set(facet_description(g).inequalities) == \
         set(brute_hull(cut_vectors(g)))
+
+
+@st.composite
+def spanning_01_points(draw):
+    """Distinct 0/1 points of dimension <= 8 that affinely span it."""
+    dim = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.integers(0, 2 ** dim - 1), min_size=dim + 1,
+                          max_size=min(2 ** dim, 3 * dim), unique=True))
+    pts = [tuple(mask >> i & 1 for i in range(dim)) for mask in masks]
+    hypothesis.assume(affine_rank(pts) == dim)
+    return pts
+
+
+@hypothesis.given(spanning_01_points())
+def test_brute_hull_matches_frozen_dd_cone(pts):
+    got = brute_hull(pts)
+    with mock.patch.object(polytope, "_dd_cone", dd_cone):
+        assert brute_hull(pts) == got

@@ -2,15 +2,17 @@
 counters and never by timing.  Each count is checked on a small and a
 larger instance, so a bound that held only at one size shows up."""
 
+import itertools
 import random
 
 import pytest
 
-from cutpoly import Graph, dual_graph, is_k_connected, planar_embed, spr_tree
+from cutpoly import (Graph, brute_hull, cut_vectors, dual_graph,
+                     is_k_connected, planar_embed, spr_tree)
 from cutpoly import graphs as graphs_mod
-from cutpoly import spqr
+from cutpoly import polytope, spqr
 from cutpoly import tjoin as tjoin_mod
-from helpers import stacked_triangulation
+from helpers import complete, stacked_triangulation, verify_small_pool
 
 SIZES = (24, 80)
 
@@ -59,3 +61,48 @@ def test_tjoin_traces_only_matched_pairs(n, monkeypatch):
     tjoin_mod.min_weight_t_join(d.node_count, edges, terminals)
     assert len(terminals) == 2 * n - 4
     assert len(traced) == len(terminals) // 2
+
+
+def first_verify_m12() -> Graph:
+    """The first 12-edge graph of the benchmark's verify-small pool."""
+    return next(g for g in verify_small_pool(1) if len(g.edges) == 12)
+
+
+@pytest.mark.parametrize("graph", [lambda: complete(5), first_verify_m12],
+                         ids=("K5", "verify-m12"))
+def test_dd_cone_multiplies_each_row_with_each_live_ray_once(graph,
+                                                             monkeypatch):
+    """Each row added after the starting basis is multiplied once with
+    every ray live at that step and with nothing else, so no combined
+    ray's tight set is recomputed by products."""
+    products, calls = [], []
+    real_dot, real_cone = polytope._dot, polytope._dd_cone
+
+    def dot(row, vec):
+        products.append((tuple(row), vec, real_dot(row, vec)))
+        return products[-1][2]
+
+    def cone(rows):
+        calls.append((rows, real_cone(rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(polytope, "_dot", dot)
+    monkeypatch.setattr(polytope, "_dd_cone", cone)
+    brute_hull(cut_vectors(graph()))
+    [(rows, result)] = calls
+    steps: dict[tuple[int, ...], dict] = {}  # row -> {ray: product}
+    for row, vec, val in products:
+        assert vec not in steps.setdefault(row, {})
+        steps[row][vec] = val
+    # one contiguous step per non-basis row, in row order
+    order = [tuple(r) for r in rows if tuple(r) in steps]
+    assert [row for row, _ in itertools.groupby(r for r, _v, _x in products)] \
+        == order
+    assert len(steps) == len(rows) - len(rows[0])
+    # every step sees the survivors of the last one, and no dropped ray
+    live, dropped = set(), set()
+    for vals in steps.values():
+        assert live <= vals.keys() and not dropped & vals.keys()
+        live = {v for v, val in vals.items() if val <= 0}
+        dropped |= vals.keys() - live
+    assert live <= set(result) and not dropped & set(result)
