@@ -9,6 +9,7 @@ graph class, 4 internal error (a failed internal check or any other bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -246,8 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, so
+    in-process callers share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:

@@ -10,7 +10,7 @@ to the parallel original edge and the leaf is removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -233,7 +233,9 @@ class EliminationState:
                 return
             (nbr, pid), = self.adj[p].items()
             origs = [e for e in self.skel_edges[p] if e.kind == "orig"]
-            assert len(origs) == 1, "P leaf must hold exactly one original"
+            if len(origs) != 1:
+                raise CertificationError(
+                    "P leaf must hold exactly one original")
             keep = origs[0]
             self.skel_edges[nbr] = [
                 spqr_mod.SkelEdge(e.u, e.v, "orig", keep.ref, 0)
@@ -246,9 +248,12 @@ class EliminationState:
         """Edge index of the original parallel to virtual pair `pid`,
         held by the P neighbor."""
         nbr = next(b for b, q in self.adj[leaf].items() if q == pid)
-        assert self.kind[nbr] == "P", "augmentation guarantees a P neighbor"
+        if self.kind[nbr] != "P":
+            raise CertificationError("augmentation guarantees a P neighbor")
         origs = [e for e in self.skel_edges[nbr] if e.kind == "orig"]
-        assert len(origs) == 1
+        if len(origs) != 1:
+            raise CertificationError(
+                "P neighbor must hold exactly one original")
         return origs[0].ref
 
     # -- solving one skeleton ----------------------------------------------
@@ -280,10 +285,11 @@ class EliminationState:
 
     def _embedding(self, sid: int, sg: Graph) -> planar_mod.Embedding:
         """Embedding of skeleton `sid`, compacted as `sg`.  An R skeleton
-        reuses the embedding its classification built, with each edge
-        renumbered through its node pair (R skeletons are simple, and
-        their node pairs survive elimination); an S cycle is embedded
-        afresh."""
+        reuses the embedding its classification built, with each edge of
+        the rotation renumbered through its node pair (R skeletons are
+        simple, and their node pairs survive elimination); the faces are
+        kept as they are, since they name darts by node pair.  An S cycle
+        is embedded afresh."""
         if sid not in self.r_skeletons:
             return planar_mod.planar_embed(sg)
         _cls, emb = self.r_skeletons[sid]
@@ -292,7 +298,7 @@ class EliminationState:
         pairs = emb.graph.edges
         rotation = tuple(tuple(sg.edge_index(*pairs[i][:2]) for i in orbit)
                          for orbit in emb.rotation)
-        return planar_mod.Embedding(sg, rotation, emb.face_count)
+        return replace(emb, graph=sg, rotation=rotation)
 
     # -- the elimination step ------------------------------------------------
 
@@ -301,7 +307,9 @@ class EliminationState:
                 or self.kind[leaf] == "P":
             raise GraphError(f"node {leaf} is not an eliminable leaf")
         virtuals = [e for e in self.skel_edges[leaf] if e.kind == "virt"]
-        assert len(virtuals) == 1, "leaf must contain exactly one virtual edge"
+        if len(virtuals) != 1:
+            raise CertificationError(
+                "leaf must contain exactly one virtual edge")
         ve = virtuals[0]
         a, b = ve.endpoints()
         ab_edge = self._parallel_original(leaf, ve.ref)
@@ -326,12 +334,14 @@ class EliminationState:
 
     def finish(self) -> tuple[int, dict[int, int]]:
         """Solve the final component and replay steps for a witness."""
-        assert self.done(), "finish() before the tree is down to one node"
+        if not self.done():
+            raise CertificationError(
+                "finish() before the tree is down to one node")
         (sid,) = self.adj
         if self.kind[sid] == "P":
             # cannot happen: a P with one tree edge dissolves, with zero it
             # would have been the whole tree of a bond (not a simple graph)
-            raise AssertionError("final node cannot be a P bundle")
+            raise CertificationError("final node cannot be a P bundle")
         ((value, side),) = self._skeleton_cuts(sid, [None])
         total = self.base + value
         assign = {v: 0 for e in self.skel_edges[sid] for v in (e.u, e.v)}
@@ -359,7 +369,9 @@ class EliminationState:
         (default: lowest id); pass an rng-like with .choice for tests."""
         while not self.done():
             leaves = self.eligible_leaves()
-            assert leaves, "tree with >1 node must have an S/R leaf"
+            if not leaves:
+                raise CertificationError(
+                    "tree with >1 node must have an S/R leaf")
             leaf = order.choice(leaves) if order is not None else leaves[0]
             self.eliminate(leaf)
         return self.finish()

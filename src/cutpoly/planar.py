@@ -8,10 +8,10 @@ and re-tests only the fragments that listed the face it split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import (CertificationError, Graph, GraphError, blocks,
-                     compact_graph, initial_cycle, is_connected)
+                     compact_graph, initial_cycle, masked_cut_nodes)
 
 
 class DisconnectedError(GraphError):
@@ -20,14 +20,24 @@ class DisconnectedError(GraphError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """Rotation system of a planar graph.
+    """Rotation system of a planar graph, with its faces.
 
-    rotation[v] lists the edge indices around v in cyclic order; faces are
-    recovered by the usual next-dart traversal.
+    rotation[v] lists the edge indices around v in cyclic order.  The faces
+    are walked once, when the embedding is built: `faces` holds each face
+    boundary as a walk of darts (u, v), and `face_of_dart` maps every dart
+    to its face id.  Both name nodes, not edge indices, so they stay valid
+    when the rotation is re-indexed to another numbering of the same node
+    pairs.
     """
     graph: Graph
     rotation: tuple[tuple[int, ...], ...]
-    face_count: int
+    faces: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    face_of_dart: dict[tuple[int, int], int] = field(repr=False,
+                                                     compare=False)
+
+    @property
+    def face_count(self) -> int:
+        return len(self.faces)
 
 
 @dataclass(frozen=True)
@@ -141,18 +151,17 @@ def _embed_biconnected(g: Graph) -> list[list[int]] | None:
     return faces
 
 
-def _rotation_from_faces(g: Graph, nodes: set[int],
+def _rotation_from_faces(g: Graph,
                          faces: list[list[int]]) -> dict[int, list[int]]:
     """Neighbor rotation (as successor orbits) from oriented face cycles."""
-    succ: dict[int, dict[int, int]] = {v: {} for v in nodes}
+    succ: dict[int, dict[int, int]] = {v: {} for v in range(g.node_count)}
     for f in faces:
         k = len(f)
         for j in range(k):
             u, v, w = f[j - 1], f[j], f[(j + 1) % k]
             succ[v][u] = w
     rot: dict[int, list[int]] = {}
-    for v in nodes:
-        per = succ[v]
+    for v, per in succ.items():
         start = min(per)
         orbit = [start]
         while True:
@@ -169,35 +178,39 @@ def _rotation_from_faces(g: Graph, nodes: set[int],
 def planar_embed(g: Graph) -> Embedding | None:
     """Return a combinatorial embedding, or None if g is non-planar.
 
-    Requires a connected graph.  Blocks are embedded independently and
-    their rotations concatenated at the cut nodes.
+    Requires a connected graph, checked by one lowpoint sweep.  A
+    2-connected graph is embedded as it is; otherwise blocks are embedded
+    independently and their rotations concatenated at the cut nodes.
     """
     if g.node_count == 0:
         raise DisconnectedError("empty graph")
-    if not is_connected(g):
+    cut, connected = masked_cut_nodes(g._adj, None)
+    if not connected:
         raise DisconnectedError("planar_embed needs a connected graph")
     if len(g.edges) > 3 * g.node_count - 6 and g.node_count >= 3:
         return None
     rotation: list[list[int]] = [[] for _ in range(g.node_count)]
-    for bnodes, bedges in blocks(g).blocks:
+    if g.node_count >= 3 and not cut:
+        parts = [(range(g.node_count), range(len(g.edges)), g)]
+    else:
+        parts = [(sorted(bnodes), bedges, None)
+                 for bnodes, bedges in blocks(g).blocks]
+    for bnodes, bedges, sub in parts:
         if len(bedges) == 1:
             u, v, _w = g.edges[bedges[0]]
             rotation[u].append(bedges[0])
             rotation[v].append(bedges[0])
             continue
-        sub, to_sub = compact_graph(sorted(bnodes), [g.edges[i] for i in bedges])
+        if sub is None:
+            sub, _ = compact_graph(bnodes, [g.edges[i] for i in bedges])
         faces = _embed_biconnected(sub)
         if faces is None:
             return None
-        back = {i: v for v, i in to_sub.items()}
-        rot = _rotation_from_faces(sub, set(range(sub.node_count)), faces)
-        for sv, orbit in rot.items():
-            v = back[sv]
-            rotation[v].extend(bedges[sub.edge_index(sv, su)]
-                               for su in orbit)
-    emb = Embedding(g, tuple(tuple(r) for r in rotation), 0)
-    fcount = len(faces_of(emb))
-    return Embedding(g, emb.rotation, fcount)
+        for sv, orbit in _rotation_from_faces(sub, faces).items():
+            rotation[bnodes[sv]].extend(bedges[sub.edge_index(sv, su)]
+                                        for su in orbit)
+    frozen = tuple(tuple(r) for r in rotation)
+    return Embedding(g, frozen, *_face_walks(g, frozen))
 
 
 def _other(g: Graph, edge_index: int, v: int) -> int:
@@ -205,43 +218,49 @@ def _other(g: Graph, edge_index: int, v: int) -> int:
     return w if u == v else u
 
 
-def _face_walks(emb: Embedding) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
-    """Traverse all faces; return (edge-index walks, dart -> face id map).
+def _face_walks(g: Graph, rotation: tuple[tuple[int, ...], ...]
+                ) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
+                           dict[tuple[int, int], int]]:
+    """Traverse all faces of a rotation system of the connected graph g;
+    return (dart walks, dart -> face id map).
 
     Traversal starts from the lexicographically smallest unused dart, so
-    face ids are deterministic.
+    face ids are deterministic.  The face count must satisfy Euler's
+    formula f = m - n + 2, which certifies the rotation system as a
+    planar (genus 0) embedding.
     """
-    g = emb.graph
     pos: dict[tuple[int, int], int] = {}
-    for v, orbit in enumerate(emb.rotation):
+    for v, orbit in enumerate(rotation):
         for j, i in enumerate(orbit):
             pos[(v, _other(g, i, v))] = j
     all_darts = sorted(d for u, v, _w in g.edges for d in ((u, v), (v, u)))
-    used: set[tuple[int, int]] = set()
-    walks: list[list[int]] = []
+    walks: list[tuple[tuple[int, int], ...]] = []
     face_of_dart: dict[tuple[int, int], int] = {}
     for start in all_darts:
-        if start in used:
+        if start in face_of_dart:
             continue
         fid = len(walks)
-        walk: list[int] = []
+        walk: list[tuple[int, int]] = []
         u, v = start
-        while (u, v) not in used:
-            used.add((u, v))
-            face_of_dart[(u, v)] = fid
-            walk.append(g.edge_index(u, v))
-            orbit = emb.rotation[v]
+        while (dart := (u, v)) not in face_of_dart:
+            face_of_dart[dart] = fid
+            walk.append(dart)
+            orbit = rotation[v]
             nxt = orbit[(pos[(v, u)] + 1) % len(orbit)]
             u, v = v, _other(g, nxt, v)
-        walks.append(walk)
+        walks.append(tuple(walk))
     if not walks:
-        walks = [[]]  # single node: one (outer) face
-    return walks, face_of_dart
+        walks = [()]  # single node: one (outer) face
+    if len(walks) != len(g.edges) - g.node_count + 2:
+        raise CertificationError(
+            "face count breaks Euler's formula f = m - n + 2")
+    return tuple(walks), face_of_dart
 
 
 def faces_of(emb: Embedding) -> list[list[int]]:
     """Face boundary walks as edge-index lists; each directed edge used once."""
-    return _face_walks(emb)[0]
+    g = emb.graph
+    return [[g.edge_index(u, v) for u, v in face] for face in emb.faces]
 
 
 def dual_graph(emb: Embedding) -> DualGraph:
@@ -249,9 +268,7 @@ def dual_graph(emb: Embedding) -> DualGraph:
 
     A bridge shows up as a self-loop; parallel dual edges are normal.
     """
-    g = emb.graph
-    walks, face_of_dart = _face_walks(emb)
-    dual_edges = []
-    for i, (u, v, w) in enumerate(g.edges):
-        dual_edges.append((face_of_dart[(u, v)], face_of_dart[(v, u)], i, w))
-    return DualGraph(len(walks), tuple(dual_edges))
+    face_of_dart = emb.face_of_dart
+    return DualGraph(emb.face_count, tuple(
+        (face_of_dart[(u, v)], face_of_dart[(v, u)], i, w)
+        for i, (u, v, w) in enumerate(emb.graph.edges)))

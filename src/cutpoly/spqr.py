@@ -7,6 +7,13 @@ or 3-connected, then merges adjacent same-kind S/P nodes; the result is
 the canonical decomposition regardless of split order.  `decompose_blocks`
 builds it once per block of a graph, with the class of each R skeleton,
 for the minor tests, the MaxCut solver and the facet code to share.
+
+A component is 3-connected by its shape alone when it is one of the two
+piece types of K33-minor-free graphs: K5-shaped (5 nodes, 10 edges, so
+complete), or triangulation-shaped (m = 3n - 6) with a planar embedding,
+so maximal planar and 3-connected (Whitney).  Such a component needs no
+sweep of any G-v, and the embedding that certified it is the skeleton's
+only one.  Every other shape is tested by sweeping each G-v.
 """
 
 from __future__ import annotations
@@ -69,43 +76,84 @@ class SprTree:
 
 
 # decomposition works on lists of (u, v, tag) with tag ("orig", idx, weight)
-# or ("virt", pair_id); a final component is (kind, nodes, edges, `_sweep`)
+# or ("virt", pair_id); a final component is (kind, nodes, edges, `_Sweep`)
 
-def _sweep(nodes: list[int], edges: list[tuple[int, int, tuple]]):
-    """Connectivity oracle of one component: v -> (cut nodes of G-v,
-    whether G-v is connected), v None for G itself.  Each answer is one
-    `masked_cut_nodes` DFS over a single shared adjacency list, computed
-    at most once, so the R test, the split search and the kind re-check
-    of a component share them."""
-    index = {x: i for i, x in enumerate(nodes)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for i, (a, b) in enumerate({(index[u], index[v]) for u, v, _t in edges}):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
+def _skeleton_order(edge: tuple[int, int, tuple]) -> tuple[bool, int]:
+    """Edge order of a skeleton: originals by index, then virtuals by id."""
+    return edge[2][0] != "orig", edge[2][1]
 
-    @functools.cache
-    def cuts(v: int | None) -> tuple[set[int], bool]:
-        found, connected = masked_cut_nodes(adj, index.get(v))
-        return {nodes[c] for c in found}, connected
 
-    return cuts
+class _Sweep:
+    """Connectivity oracle of one component: `cuts(v)` is (cut nodes of
+    G-v, whether G-v is connected), v None for G itself.  Each answer is
+    one `masked_cut_nodes` DFS over a single shared adjacency list,
+    computed at most once, so the R test, the split search and the kind
+    re-check of a component share them.  `embedding` is the component's
+    embedding as a skeleton (edges in `_skeleton_order`), or None when it
+    is non-planar, also computed at most once."""
+
+    def __init__(self, nodes: list[int], edges: list[tuple[int, int, tuple]]):
+        self.nodes, self.edges = nodes, edges
+        self.index = {x: i for i, x in enumerate(nodes)}
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
+        for i, (a, b) in enumerate({(self.index[u], self.index[v])
+                                    for u, v, _t in edges}):
+            self.adj[a].append((b, i))
+            self.adj[b].append((a, i))
+        self._cuts: dict[int | None, tuple[set[int], bool]] = {}
+
+    def __call__(self, v: int | None) -> tuple[set[int], bool]:
+        if v not in self._cuts:
+            found, connected = masked_cut_nodes(self.adj, self.index.get(v))
+            self._cuts[v] = {self.nodes[c] for c in found}, connected
+        return self._cuts[v]
+
+    @functools.cached_property
+    def embedding(self) -> planar_mod.Embedding | None:
+        sg, _ = compact_graph(self.nodes, [
+            (u, v, t[2] if t[0] == "orig" else 0)
+            for u, v, t in sorted(self.edges, key=_skeleton_order)])
+        return planar_mod.planar_embed(sg)
+
+    def has_k5_at_degree_4(self) -> bool:
+        """Whether some node of degree 4 has pairwise adjacent neighbors:
+        a K5 subgraph, so the component is not planar."""
+        nbrs = [{y for y, _i in a} for a in self.adj]
+        return any(len(ns) == 4 and all(nbrs[x] >= ns - {x} for x in ns)
+                   for ns in nbrs)
+
+
+def _shape_certified(n: int, m: int, cuts: _Sweep) -> bool:
+    """Whether a simple 2-connected component with n >= 4 nodes and m
+    edges is 3-connected by its shape alone: K5-shaped (complete, so
+    4-connected), or triangulation-shaped (m = 3n - 6) with an embedding,
+    so maximal planar and 3-connected by Whitney's theorem.  A component
+    that shows a K5 at a degree-4 node is not planar, so it is not
+    embedded."""
+    if n == 5 and m == 10:
+        return True
+    return (m == 3 * n - 6 and not cuts.has_k5_at_degree_4()
+            and cuts.embedding is not None)
 
 
 def _classify(nodes: list[int], edges: list[tuple[int, int, tuple]],
-              cuts) -> str | None:
+              cuts: _Sweep) -> str | None:
     """Final-component test: 'P', 'S', 'R' or None (must split further).
-    `cuts` is the component's `_sweep`."""
+
+    Every component is 2-connected: the input block is (its caller proves
+    that once), and a Tutte split keeps both sides 2-connected.  So a
+    simple component with as many edges as nodes is a cycle, and one on
+    n >= 4 nodes is R when its shape certifies it or else when every G-v
+    is connected and cut-node free (one sweep of `cuts` per node)."""
     if len(nodes) == 2:
         return "P"
     if len({(min(u, v), max(u, v)) for u, v, _t in edges}) < len(edges):
         return None  # parallel edges on >= 3 nodes: split at that pair
-    if cuts(None) != (set(), True):
-        return None
-    # a 2-connected simple graph with as many edges as nodes is a cycle;
-    # it is 3-connected when every G-v is connected and cut-node free
-    if len(edges) == len(nodes):
+    n, m = len(nodes), len(edges)
+    if m == n:
         return "S"
-    if len(nodes) > 3 and all(cuts(v) == (set(), True) for v in nodes):
+    if n > 3 and (_shape_certified(n, m, cuts)
+                  or all(cuts(v) == (set(), True) for v in nodes)):
         return "R"
     return None
 
@@ -156,7 +204,7 @@ def _find_split(nodes: list[int], edges: list[tuple[int, int, tuple]], cuts):
 
 def _decompose(nodes: list[int], edges: list[tuple[int, int, tuple]],
                next_pid: list[int]) -> list[tuple]:
-    cuts = _sweep(nodes, edges)
+    cuts = _Sweep(nodes, edges)
     kind = _classify(nodes, edges, cuts)
     if kind is not None:
         return [(kind, nodes, edges, cuts)]
@@ -197,7 +245,7 @@ def _merge_same_kind(comps: list[tuple]):
         merged_nodes = sorted(set(na) | set(nb))
         comps = [c for i, c in enumerate(comps) if i not in (a, b)]
         comps.append((ka, merged_nodes, merged_edges,
-                      _sweep(merged_nodes, merged_edges)))
+                      _Sweep(merged_nodes, merged_edges)))
 
 
 def spr_tree(g: Graph) -> SprTree:
@@ -206,14 +254,20 @@ def spr_tree(g: Graph) -> SprTree:
         raise NotTwoConnectedError("spr_tree needs a 2-connected graph")
     if len(g.edges) < 3:
         raise GraphError("spr_tree needs at least 3 edges")
-    edges = [(u, v, ("orig", i)) for i, (u, v, _w) in enumerate(g.edges)]
+    return _spr_tree(g)[0]
+
+
+def _spr_tree(g: Graph) -> tuple[SprTree, tuple[_Sweep, ...]]:
+    """`spr_tree` of a graph already known to be 2-connected with >= 3
+    edges, with the `_Sweep` of each skeleton, indexed by node id."""
+    edges = [(u, v, ("orig", i, w)) for i, (u, v, w) in enumerate(g.edges)]
     comps = _decompose(sorted(range(g.node_count)), edges, [0])
     comps = _merge_same_kind(comps)
     return _build_tree(g, comps)
 
 
 def _build_tree(g: Graph,
-                comps: list[tuple]) -> SprTree:
+                comps: list[tuple]) -> tuple[SprTree, tuple[_Sweep, ...]]:
     # deterministic node ids: sort by (smallest original ref, kind, nodes)
     def sort_key(comp):
         kind, nodes, edges, _cuts = comp
@@ -225,13 +279,14 @@ def _build_tree(g: Graph,
     owner: dict[int, list[int]] = {}
     for i, (kind, nodes, edges, cuts) in enumerate(comps):
         skel_edges = []
-        for u, v, t in sorted(edges, key=lambda e: (e[2][0] != "orig", e[2][1])):
+        for u, v, t in sorted(edges, key=_skeleton_order):
             if t[0] == "orig":
-                skel_edges.append(SkelEdge(u, v, "orig", t[1], g.edges[t[1]][2]))
+                skel_edges.append(SkelEdge(u, v, "orig", t[1], t[2]))
             else:
                 skel_edges.append(SkelEdge(u, v, "virt", t[1], 0))
                 owner.setdefault(t[1], []).append(i)
-        # re-derive and check the kind (on the component's own sweep)
+        # re-derive and check the kind (on the component's own sweep and
+        # embedding)
         check = _classify(list(nodes), [(e.u, e.v, None) for e in skel_edges],
                           cuts)
         if check != kind:
@@ -244,7 +299,8 @@ def _build_tree(g: Graph,
         if skel_nodes[a].kind == skel_nodes[b].kind in ("S", "P"):
             raise CertificationError("same-kind adjacency")
         tree_edges.append((a, b, pid))
-    return SprTree(tuple(skel_nodes), tuple(tree_edges))
+    return (SprTree(tuple(skel_nodes), tuple(tree_edges)),
+            tuple(cuts for _k, _n, _e, cuts in comps))
 
 
 def _check_pair(owners: list[int]) -> None:
@@ -333,15 +389,16 @@ def _skeleton_graph(sn: SkeletonNode) -> tuple[Graph, dict[int, int]]:
     return compact_graph(sn.nodes, [(e.u, e.v, e.weight) for e in sn.edges])
 
 
-def _classify_r_skeleton(sn: SkeletonNode
+def _classify_r_skeleton(sn: SkeletonNode, sweep: _Sweep
                          ) -> tuple[str, planar_mod.Embedding | None]:
     """Class of an R skeleton, with the embedding of `_skeleton_graph(sn)`
-    that shows it planar (None for K5 and non-planar skeletons)."""
-    sg, _ = _skeleton_graph(sn)
-    n, m = sg.node_count, len(sg.edges)
+    that shows it planar (None for K5 and non-planar skeletons).  The
+    embedding is the one its component's shape certificate built, if it
+    built one."""
+    n, m = len(sn.nodes), len(sn.edges)
     if n == 5 and m == 10:
         return "K5", None
-    emb = planar_mod.planar_embed(sg)
+    emb = sweep.embedding
     if emb is None:
         return "NonPlanar", None
     if m == 3 * n - 6:
@@ -390,8 +447,9 @@ def decompose_blocks(g: Graph) -> tuple[Block, ...]:
     for bnodes, bedges in blocks(g).blocks:
         nodes = tuple(sorted(bnodes))
         sub, _ = compact_graph(nodes, [g.edges[i] for i in bedges])
-        tree = spr_tree(sub) if len(bedges) >= 3 else None
-        r_skeletons = {sn.id: _classify_r_skeleton(sn)
+        # a block of >= 3 edges is 2-connected, so it skips spr_tree's check
+        tree, sweeps = _spr_tree(sub) if len(bedges) >= 3 else (None, ())
+        r_skeletons = {sn.id: _classify_r_skeleton(sn, sweeps[sn.id])
                        for sn in (tree.nodes if tree else ()) if sn.kind == "R"}
         out.append(Block(nodes, bedges, sub, tree, r_skeletons))
     return tuple(out)

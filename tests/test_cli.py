@@ -267,6 +267,73 @@ def test_kind_drift_raises_without_asserts(flags):
     assert proc.stdout == "skeleton kind drift: S != R\n"
 
 
+# the invariants of the MaxCut leaf elimination that its witness replay
+# relies on, each broken on a fresh state of a 3-piece strict 2-sum
+ELIMINATION_INVARIANTS = """
+from cutpoly import (CertificationError, GeneratorSpec, decompose_blocks,
+                     gen_k33free)
+from cutpoly.maxcut import EliminationState
+(block,) = decompose_blocks(gen_k33free(GeneratorSpec(seed=1,
+                                                      component_count=3)))
+
+def leaf_and_p(s):
+    leaf = s.eligible_leaves()[0]
+    (p, _pid), = s.adj[leaf].items()
+    return leaf, p
+
+def second_original(s, p):
+    s.skel_edges[p].append(next(e for e in s.skel_edges[p]
+                                if e.kind == "orig"))
+
+def p_leaf_with_two_originals(s):
+    leaf, p = leaf_and_p(s)
+    second_original(s, p)
+    del s.adj[p][leaf], s.adj[leaf]
+    s._dissolve_p_leaves()
+
+def neighbor_not_p(s):
+    leaf, p = leaf_and_p(s)
+    s.kind[p] = "S"
+    s.eliminate(leaf)
+
+def p_neighbor_with_two_originals(s):
+    leaf, p = leaf_and_p(s)
+    second_original(s, p)
+    s.eliminate(leaf)
+
+def leaf_with_two_virtuals(s):
+    leaf, _p = leaf_and_p(s)
+    s.skel_edges[leaf].append(next(e for e in s.skel_edges[leaf]
+                                   if e.kind == "virt"))
+    s.eliminate(leaf)
+
+def no_leaf(s):
+    s.kind = {v: "P" for v in s.kind}
+    s.run()
+
+for breaking in (p_leaf_with_two_originals, neighbor_not_p,
+                 p_neighbor_with_two_originals, leaf_with_two_virtuals,
+                 EliminationState.finish, no_leaf):
+    try:
+        breaking(EliminationState(block))
+    except CertificationError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_elimination_invariants_raise_without_asserts(flags):
+    proc = run_module(*flags, "-c", ELIMINATION_INVARIANTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "P leaf must hold exactly one original",
+        "augmentation guarantees a P neighbor",
+        "P neighbor must hold exactly one original",
+        "leaf must contain exactly one virtual edge",
+        "finish() before the tree is down to one node",
+        "tree with >1 node must have an S/R leaf"]
+
+
 # classify's non-simplicity certificate needs every chordless cycle: C4
 # without its one cycle leaves edges uncovered, and K4 with every cycle
 # listed twice repeats a facet
@@ -303,13 +370,15 @@ def test_classify_certificate_error_exit_code(graph, patch, tmp_path,
 def test_one_decomposition_per_block(tmp_path, capsys, monkeypatch):
     """On a non-strict 2-sum of a K5 and a triangulation, facets build
     one SPR-tree (the completed pieces are read off it) and run no
-    whole-graph minor test; verify builds one SPR-tree per block."""
+    whole-graph minor test; verify builds one SPR-tree per block.  Trees
+    are counted at `_spr_tree`, which the public `spr_tree` and
+    `decompose_blocks` both build them with."""
     g = gen_k33free(GeneratorSpec(seed=1, tri_size=(4, 5), strict=False))
     assert not k33_decompose(g).is_maximal and has_minor(g, "K5")
     f = tmp_path / "nonstrict.cut"
     f.write_text(format_graph(g))
     trees = []
-    real = spqr.spr_tree
+    real = spqr._spr_tree
 
     def count(h):
         trees.append(h)
@@ -318,7 +387,7 @@ def test_one_decomposition_per_block(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("whole-graph minor test")
 
-    monkeypatch.setattr(spqr, "spr_tree", count)
+    monkeypatch.setattr(spqr, "_spr_tree", count)
     monkeypatch.setattr(minors, "has_minor", refuse)
     monkeypatch.setattr(spqr, "k33_decompose", refuse)
     code, _out, _err = run_cli(["facets", str(f)], capsys)
@@ -327,3 +396,49 @@ def test_one_decomposition_per_block(tmp_path, capsys, monkeypatch):
     code, out, _err = run_cli(["verify", str(f)], capsys)
     assert code == 0 and out.startswith("maxcut ok")
     assert len(trees) == sum(len(e) >= 3 for _n, e in blocks(g).blocks) == 1
+
+
+def outcome(argv, capsys):
+    """Exit code (returned or raised by argparse), stdout and stderr of
+    one in-process `main` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_keeps_calls_independent(k5_file, tmp_path, capsys,
+                                               monkeypatch):
+    """`main` builds its parser once per process.  Argparse errors and
+    input errors between valid calls leave no trace: each call gives the
+    same exit code and output as when it runs alone on a fresh parser."""
+    calls = [["maxcut", "--witness", k5_file],
+             ["maxcut", "--no-such-flag", k5_file],
+             ["decompose", k5_file],
+             ["maxcut", str(tmp_path / "missing.cut")],
+             ["facets", k5_file],
+             [],
+             ["verify", k5_file],
+             ["gen", "--seed", "3", "--non-strict"],
+             ["classify", "--out"],
+             ["maxcut", k5_file]]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(outcome(argv, capsys))
+    built = []
+    real = cli.build_parser
+
+    def build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    shared = [outcome(argv, capsys) for argv in calls]
+    assert shared == alone and len(built) == 1
+    assert [code for code, _out, _err in shared] == [0, 2, 0, 2, 0, 2, 0, 0,
+                                                     2, 0]
+    assert alone[0][1] == "value 6\nside 2 3\n"

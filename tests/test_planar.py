@@ -189,12 +189,43 @@ except CertificationError as exc:
 """
 
 
-@pytest.mark.parametrize("flags", [(), ("-O",)])
-def test_orbit_check_raises_without_asserts(flags):
+def run_python(flags, script):
     src = str(Path(cutpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, *flags, "-c", ORBIT_SPLIT],
+    return subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_orbit_check_raises_without_asserts(flags):
+    proc = run_python(flags, ORBIT_SPLIT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "embedding darts at a node form one orbit\n"
+
+
+# K4 with the rotation at node 0 reversed: every node keeps one orbit, but
+# the rotation system lies on the torus (2 faces, not 4); the shape
+# certificate of spr_tree meets the same check through its embedding
+EULER_BREAK = """
+from cutpoly import CertificationError, Graph, planar, spr_tree
+real = planar._rotation_from_faces
+def flipped(g, faces):
+    rot = real(g, faces)
+    rot[0].reverse()
+    return rot
+planar._rotation_from_faces = flipped
+k4 = Graph(4, [(u, v, 1) for u in range(4) for v in range(u)])
+for run in (planar.planar_embed, spr_tree):
+    try:
+        run(k4)
+    except CertificationError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_euler_check_raises_without_asserts(flags):
+    proc = run_python(flags, EULER_BREAK)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "face count breaks Euler's formula f = m - n + 2\n" * 2

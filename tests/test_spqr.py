@@ -3,14 +3,17 @@ import random
 
 import pytest
 
-from cutpoly import (Graph, K33MinorError, NotTwoConnectedError,
-                     augment_with_parallel_originals, facet_description,
-                     has_minor, is_k_connected, k33_decompose, maxcut,
-                     maximal_completion, minor_exhaustive, recompose,
-                     spr_tree)
+import frozen_classify
+from cutpoly import (GeneratorSpec, Graph, K33MinorError,
+                     NotTwoConnectedError, augment_with_parallel_originals,
+                     decompose_blocks, facet_description, format_graph,
+                     gen_k33free, has_minor, is_k_connected, k33_decompose,
+                     maxcut, maximal_completion, minor_exhaustive,
+                     planar_embed, recompose, spqr, spr_tree)
+from cutpoly.cli import main
 from cutpoly.spqr import _skeleton_graph
 from helpers import (complete, cycle, double_k5, k33, octahedron, path,
-                     random_2connected, random_graph)
+                     random_2connected, random_graph, stacked_triangulation)
 
 
 def test_spr_k5_single_r():
@@ -228,3 +231,65 @@ def test_witness_shared_by_every_consumer():
         with pytest.raises(K33MinorError) as info:
             solve(g)
         assert info.value.witness == witness
+
+
+# -- shape certificates -------------------------------------------------------
+
+def shape_corpus() -> list[Graph]:
+    """Strict and non-strict chains of 1-8 pieces, thinned or not, and
+    stacked triangulations with n <= 80."""
+    chains = [gen_k33free(GeneratorSpec(
+        seed=s, component_count=1 + s % 8,
+        kinds=(("k5", "triangulation"), ("k5",), ("triangulation",))[s % 3],
+        tri_size=(4, 4 + s % 9), strict=s % 4 > 0,
+        deletion_prob=((s // 4) % 2, 5))) for s in range(300)]
+    return chains + [stacked_triangulation(n, random.Random(n))
+                     for n in range(4, 81, 4)]
+
+
+def test_shape_certified_skeletons_are_3_connected(tmp_path, capsys,
+                                                   monkeypatch):
+    """Every component certified R by its shape is an R skeleton, is
+    3-connected, and carries the very rotation of a fresh embedding of
+    its skeleton graph; and `cutpoly decompose` prints what it printed
+    with the sweep-only test (`frozen_classify`) in place."""
+    certified = []
+    real = spqr._shape_certified
+
+    def record(n, m, cuts):
+        ok = real(n, m, cuts)
+        if ok:
+            certified.append(tuple(cuts.nodes))
+        return ok
+
+    corpus = shape_corpus()
+    assert len(corpus) >= 300
+    checked = {"K5": 0, "PlanarTriangulation": 0}
+    for k, g in enumerate(corpus):
+        f = tmp_path / f"g{k}.cut"
+        f.write_text(format_graph(g))
+        monkeypatch.setattr(spqr, "_shape_certified", record)
+        certified.clear()
+        printed = main(["decompose", str(f)]), capsys.readouterr().out
+        blocks_ = decompose_blocks(g)
+        monkeypatch.setattr(spqr, "_classify", frozen_classify.classify)
+        assert (main(["decompose", str(f)]), capsys.readouterr().out) \
+            == printed
+        monkeypatch.undo()
+        r_nodes = {sn.nodes for b in blocks_ if b.tree
+                   for sn in b.tree.nodes if sn.kind == "R"}
+        assert set(certified) <= r_nodes
+        for b in blocks_:
+            for sid, (cls, emb) in b.r_skeletons.items():
+                sn = b.tree.node(sid)
+                if sn.nodes not in certified:
+                    continue
+                sg, _ = _skeleton_graph(sn)
+                assert is_k_connected(sg, 3)
+                if cls == "K5":
+                    assert emb is None
+                else:
+                    assert emb.graph == sg
+                    assert emb.rotation == planar_embed(sg).rotation
+                checked[cls] += 1
+    assert min(checked.values()) >= 100, checked

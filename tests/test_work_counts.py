@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from cutpoly import (Graph, brute_hull, cut_vectors, dual_graph,
-                     is_k_connected, planar_embed, spr_tree)
+from cutpoly import (Graph, brute_hull, cut_vectors, decompose_blocks,
+                     dual_graph, is_k_connected, planar_embed, spr_tree)
 from cutpoly import graphs as graphs_mod
+from cutpoly import planar as planar_mod
 from cutpoly import polytope, spqr
 from cutpoly import tjoin as tjoin_mod
 from helpers import complete, stacked_triangulation, verify_small_pool
@@ -28,24 +29,55 @@ def counting(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def tree_work(monkeypatch, build, g):
+    """Run build(g) and count its work: the lowpoint passes by masked
+    node ([None] for a sweep of G itself, [] for a block split), the
+    `blocks` calls, the Graphs built, and every embedding attempt, failed
+    ones included."""
+    work = {"passes": [], "blocks": [], "graphs": [], "embeds": []}
+    counting(monkeypatch, Graph, "__init__", work["graphs"])
+    counting(monkeypatch, graphs_mod, "_lowpoint", work["passes"])
+    counting(monkeypatch, spqr, "blocks", work["blocks"])
+    counting(monkeypatch, planar_mod, "planar_embed", work["embeds"])
+    result = build(g)
+    work["passes"] = [mask for _adj, *mask in work["passes"]]
+    work["embeds"] = [h for (h,) in work["embeds"]]
+    monkeypatch.undo()
+    return result, work
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_spr_tree_of_triangulation_sweeps_once(n, monkeypatch):
-    """A 3-connected stacked triangulation is one R skeleton: spr_tree
-    builds no Graph per node, calls `blocks` on no G-v, and sweeps G and
-    each G-v exactly once, the kind re-check included."""
+    """A 3-connected stacked triangulation is one R skeleton, certified by
+    its shape: the tree costs one sweep of G to prove it 2-connected and
+    one embedding of the one Graph it builds (the embedding checks its
+    own input with one more sweep of G), and no sweep of any G-v, the
+    kind re-check included.  `decompose_blocks` proves 2-connectivity by
+    its block split instead and keeps the embedding."""
     g = stacked_triangulation(n, random.Random(n))
     assert is_k_connected(g, 3)
-    built, block_calls, sweeps = [], [], []
-    counting(monkeypatch, Graph, "__init__", built)
-    counting(monkeypatch, graphs_mod, "blocks", block_calls)
-    counting(monkeypatch, spqr, "blocks", block_calls)
-    counting(monkeypatch, spqr, "masked_cut_nodes", sweeps)
-    tree = spr_tree(g)
+    tree, work = tree_work(monkeypatch, spr_tree, g)
     assert [sn.kind for sn in tree.nodes] == ["R"]
-    assert len(built) <= 2
-    assert all(h.node_count == n for (h,) in block_calls)
-    assert sorted(v for _adj, v in sweeps if v is not None) == list(range(n))
-    assert len(sweeps) == n + 1
+    assert work["passes"] == [[None], [None]] and not work["blocks"]
+    assert len(work["graphs"]) == 1 and work["embeds"] == [g]
+    (block,), work = tree_work(monkeypatch, decompose_blocks, g)
+    assert [sn.kind for sn in block.tree.nodes] == ["R"]
+    assert work["passes"] == [[], [None]] and len(work["blocks"]) == 1
+    assert work["embeds"] == [g] and block.r_skeletons[0][1].graph == g
+
+
+def test_spr_tree_of_k5_sweeps_no_g_minus_v(monkeypatch):
+    """K5 is R by its shape alone: no sweep of any G-v and no embedding;
+    only spr_tree's own 2-connectivity check sweeps G, and
+    `decompose_blocks` replaces it by its block split."""
+    g = complete(5)
+    tree, work = tree_work(monkeypatch, spr_tree, g)
+    assert [sn.kind for sn in tree.nodes] == ["R"]
+    assert work == {"passes": [[None]], "blocks": [], "graphs": [],
+                    "embeds": []}
+    (block,), work = tree_work(monkeypatch, decompose_blocks, g)
+    assert block.r_skeletons == {0: ("K5", None)}
+    assert work["passes"] == [[]] and not work["embeds"]
 
 
 @pytest.mark.parametrize("n", SIZES)
