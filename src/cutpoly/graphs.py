@@ -201,10 +201,7 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("missing 'p cut' header")
     if len(edges) != header[1]:
         raise ParseError(f"header announced {header[1]} edges, found {len(edges)}")
-    try:
-        return Graph(header[0], edges)
-    except (SelfLoopError, DuplicateEdgeError, NodeRangeError):
-        raise
+    return Graph(header[0], edges)
 
 
 def format_graph(g: Graph) -> str:

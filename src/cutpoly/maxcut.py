@@ -2,10 +2,13 @@
 
 Three layers: a brute-force oracle (cut enumeration), a planar solver
 (maximum cut = total weight minus a minimum T-join in the dual), and the
-main solver for K33-minor-free graphs, which eliminates SPR-tree leaves
-one at a time.  Each leaf contributes the best cut value with its virtual
-edge forced in (beta+) and forced out (beta-); the difference is charged
-to the parallel original edge and the leaf is removed.
+main solver for K33-minor-free graphs, which eliminates leaves of the
+SPR tree as built, one at a time (Barahona, ORL 1983).  Each leaf
+contributes the best cut value with its virtual edge forced in (beta+)
+and forced out (beta-); the difference is charged to the bundle of the
+pair it shares with the rest of the tree (the P skeleton on that pair,
+or the pair itself), no weight-0 edge is inserted, and the leaf is
+removed.
 """
 
 from __future__ import annotations
@@ -131,11 +134,7 @@ def _embedded_maxcuts(emb: planar_mod.Embedding,
     """
     g = emb.graph
     dual = planar_mod.dual_graph(emb)
-    deg = [0] * dual.node_count
-    for fa, fb, _i, _w in dual.edges:
-        deg[fa] += 1
-        deg[fb] += 1
-    terminals = {f for f in range(dual.node_count) if deg[f] % 2}
+    terminals = tjoin_mod._odd_nodes(dual.edges, range(len(dual.edges)))
     results = []
     for forced in forceds:
         weights = [w for _u, _v, w in g.edges]
@@ -181,34 +180,39 @@ def _two_color(g: Graph, cut_edges: set[int]) -> Cut:
 class EliminationState:
     """Working state of one decomposed block during leaf elimination.
 
-    Holds the block's SPR tree as built (`tree`, before augmentation),
-    each R skeleton's class and embedding (`r_skeletons`, built once by
-    `decompose_blocks` and reused by every solve of that skeleton), the
-    augmented graph's current edge weights, the shrinking tree, and the
-    recorded steps.  Node labels are those of `block.graph`.  Mutated in
-    place by eliminate(); finish() solves the last component and returns
-    (value, node side set).
+    Reads the block's SPR tree as built (`tree`) and each R skeleton's
+    class and embedding (`r_skeletons`, built once by `decompose_blocks`
+    and reused by every solve of that skeleton); neither is copied or
+    changed.  Each virtual pair id belongs to one bundle, named by a
+    representative pair id (`bundle`): the P skeleton at either end of the
+    pair, or else the pair itself.  `weight` holds each bundle's current
+    weight, which every virtual edge on it reads: first the P skeleton's
+    original edge weight (0 without one), then the gamma of the last leaf
+    eliminated onto it.  `adj` is the shrinking tree.  Node labels are
+    those of `block.graph`.  Mutated in place by eliminate(); finish()
+    solves the last skeleton and returns (value, node side set).
     """
 
     def __init__(self, block: spqr_mod.Block):
         if block.tree is None:
             raise GraphError("elimination needs a block with >= 3 edges")
-        self.tree = block.tree
+        self.tree = tree = block.tree
         self.r_skeletons = block.r_skeletons
-        aug, tree = spqr_mod.augment_with_parallel_originals(block.graph,
-                                                             self.tree)
-        self.graph = aug
-        self.weight: dict[int, int] = {i: w for i, (_u, _v, w) in enumerate(aug.edges)}
         self.kind: dict[int, str] = {sn.id: sn.kind for sn in tree.nodes}
-        self.skel_edges: dict[int, list[spqr_mod.SkelEdge]] = {
-            sn.id: list(sn.edges) for sn in tree.nodes}
         self.adj: dict[int, dict[int, int]] = {sn.id: {} for sn in tree.nodes}
+        self.bundle: dict[int, int] = {}
+        self.weight: dict[int, int] = {}
+        for sn in tree.nodes:
+            if sn.kind == "P":
+                pids = [e.ref for e in sn.virtuals()]
+                self.bundle.update(dict.fromkeys(pids, pids[0]))
+                self.weight[pids[0]] = sum(e.weight for e in sn.originals())
         for a, b, pid in tree.tree_edges:
             self.adj[a][b] = pid
             self.adj[b][a] = pid
+            self.weight.setdefault(self.bundle.setdefault(pid, pid), 0)
         self.base = 0
         self.steps: list[EliminationStep] = []
-        self._dissolve_p_leaves()
 
     # -- tree queries ----------------------------------------------------
 
@@ -223,39 +227,6 @@ class EliminationState:
     def done(self) -> bool:
         return len(self.adj) == 1
 
-    # -- invariant upkeep -------------------------------------------------
-
-    def _dissolve_p_leaves(self) -> None:
-        while len(self.adj) > 1:
-            p = next((v for v in sorted(self.adj)
-                      if self.kind[v] == "P" and len(self.adj[v]) == 1), None)
-            if p is None:
-                return
-            (nbr, pid), = self.adj[p].items()
-            origs = [e for e in self.skel_edges[p] if e.kind == "orig"]
-            if len(origs) != 1:
-                raise CertificationError(
-                    "P leaf must hold exactly one original")
-            keep = origs[0]
-            self.skel_edges[nbr] = [
-                spqr_mod.SkelEdge(e.u, e.v, "orig", keep.ref, 0)
-                if e.kind == "virt" and e.ref == pid else e
-                for e in self.skel_edges[nbr]]
-            del self.adj[p], self.skel_edges[p], self.kind[p]
-            del self.adj[nbr][p]
-
-    def _parallel_original(self, leaf: int, pid: int) -> int:
-        """Edge index of the original parallel to virtual pair `pid`,
-        held by the P neighbor."""
-        nbr = next(b for b, q in self.adj[leaf].items() if q == pid)
-        if self.kind[nbr] != "P":
-            raise CertificationError("augmentation guarantees a P neighbor")
-        origs = [e for e in self.skel_edges[nbr] if e.kind == "orig"]
-        if len(origs) != 1:
-            raise CertificationError(
-                "P neighbor must hold exactly one original")
-        return origs[0].ref
-
     # -- solving one skeleton ----------------------------------------------
 
     def _skeleton_cuts(self, sid: int,
@@ -263,16 +234,12 @@ class EliminationState:
                        ) -> list[tuple[int, frozenset[int]]]:
         """Best cut of a skeleton graph once per entry of
         `forced_virtuals`; virtual edges take the current weight of their
-        parallel originals.  Returns (value, global node side) pairs."""
-        edges = []
-        for e in self.skel_edges[sid]:
-            if e.kind == "orig":
-                edges.append((e.u, e.v, self.weight[e.ref]))
-            else:
-                edges.append((e.u, e.v, self.weight[self._parallel_original(sid, e.ref)]))
-        nodes = [x for e in self.skel_edges[sid] for x in (e.u, e.v)]
-        sg, to_sub = compact_graph(nodes, edges)
-        back = {i: v for v, i in to_sub.items()}
+        bundle.  Returns (value, global node side) pairs; a skeleton's
+        nodes are sorted, so compact node i is `sn.nodes[i]`."""
+        sn = self.tree.node(sid)
+        sg, to_sub = compact_graph(sn.nodes, [
+            (e.u, e.v, e.weight if e.kind == "orig"
+             else self.weight[self.bundle[e.ref]]) for e in sn.edges])
         forceds = [None if fv is None else
                    (sg.edge_index(to_sub[fv[0]], to_sub[fv[1]]), fv[2])
                    for fv in forced_virtuals]
@@ -280,25 +247,23 @@ class EliminationState:
             results = [maxcut_bruteforce(sg, forced) for forced in forceds]
         else:
             results = _embedded_maxcuts(self._embedding(sid, sg), forceds)
-        return [(res.value, frozenset(back[v] for v in res.cut.side_nodes()))
+        return [(res.value, frozenset(sn.nodes[v] for v in res.cut.side_nodes()))
                 for res in results]
 
     def _embedding(self, sid: int, sg: Graph) -> planar_mod.Embedding:
         """Embedding of skeleton `sid`, compacted as `sg`.  An R skeleton
-        reuses the embedding its classification built, with each edge of
-        the rotation renumbered through its node pair (R skeletons are
-        simple, and their node pairs survive elimination); the faces are
-        kept as they are, since they name darts by node pair.  An S cycle
-        is embedded afresh."""
+        reuses the embedding its classification built, which lists the
+        same node pairs in the same order (the tree's skeleton edge
+        order), so only the weights change.  An S cycle is embedded
+        afresh."""
         if sid not in self.r_skeletons:
             return planar_mod.planar_embed(sg)
         _cls, emb = self.r_skeletons[sid]
         if emb is None:
             raise NonPlanarError("skeleton is not planar")
-        pairs = emb.graph.edges
-        rotation = tuple(tuple(sg.edge_index(*pairs[i][:2]) for i in orbit)
-                         for orbit in emb.rotation)
-        return replace(emb, graph=sg, rotation=rotation)
+        if [e[:2] for e in emb.graph.edges] != [e[:2] for e in sg.edges]:
+            raise CertificationError("skeleton edges left the embedding's order")
+        return replace(emb, graph=sg)
 
     # -- the elimination step ------------------------------------------------
 
@@ -306,30 +271,26 @@ class EliminationState:
         if leaf not in self.adj or len(self.adj[leaf]) != 1 \
                 or self.kind[leaf] == "P":
             raise GraphError(f"node {leaf} is not an eliminable leaf")
-        virtuals = [e for e in self.skel_edges[leaf] if e.kind == "virt"]
-        if len(virtuals) != 1:
+        (nbr, pid), = self.adj[leaf].items()
+        sn = self.tree.node(leaf)
+        ve = next((e for e in sn.virtuals() if e.ref == pid), None)
+        if ve is None:
             raise CertificationError(
-                "leaf must contain exactly one virtual edge")
-        ve = virtuals[0]
+                "leaf must hold a virtual edge for its tree edge")
         a, b = ve.endpoints()
-        ab_edge = self._parallel_original(leaf, ve.ref)
-        skel_nodes = frozenset(x for e in self.skel_edges[leaf]
-                               for x in (e.u, e.v))
         (beta_plus, side_in), (beta_minus, side_out) = self._skeleton_cuts(
             leaf, [(a, b, True), (a, b, False)])
         gamma = beta_plus - beta_minus
-        self.weight[ab_edge] = gamma
+        self.weight[self.bundle[pid]] = gamma
         self.base += beta_minus
-        (nbr, pid), = self.adj[leaf].items()
-        del self.adj[leaf], self.skel_edges[leaf], self.kind[leaf]
-        del self.adj[nbr][leaf]
-        self.skel_edges[nbr] = [e for e in self.skel_edges[nbr]
-                                if not (e.kind == "virt" and e.ref == pid)]
+        del self.adj[leaf], self.adj[nbr][leaf]
+        if self.kind[nbr] == "P" and len(self.adj[nbr]) == 1:
+            # the P leaf dissolves; its bundle lives on in its neighbor
+            (other,) = self.adj.pop(nbr)
+            del self.adj[other][nbr]
         step = EliminationStep(leaf, (a, b), beta_plus, beta_minus, gamma,
-                               skel_nodes, frozenset(side_in),
-                               frozenset(side_out))
+                               frozenset(sn.nodes), side_in, side_out)
         self.steps.append(step)
-        self._dissolve_p_leaves()
         return step
 
     def finish(self) -> tuple[int, dict[int, int]]:
@@ -344,7 +305,7 @@ class EliminationState:
             raise CertificationError("final node cannot be a P bundle")
         ((value, side),) = self._skeleton_cuts(sid, [None])
         total = self.base + value
-        assign = {v: 0 for e in self.skel_edges[sid] for v in (e.u, e.v)}
+        assign = dict.fromkeys(self.tree.node(sid).nodes, 0)
         for v in side:
             assign[v] = 1
         for step in reversed(self.steps):

@@ -65,15 +65,6 @@ class SprTree:
     def node(self, i: int) -> SkeletonNode:
         return self.nodes[i]
 
-    def neighbors(self, i: int) -> list[tuple[int, int]]:
-        out = []
-        for a, b, pid in self.tree_edges:
-            if a == i:
-                out.append((b, pid))
-            elif b == i:
-                out.append((a, pid))
-        return sorted(out)
-
 
 # decomposition works on lists of (u, v, tag) with tag ("orig", idx, weight)
 # or ("virt", pair_id); a final component is (kind, nodes, edges, `_Sweep`)
@@ -326,8 +317,10 @@ def recompose(t: SprTree, node_count: int) -> Graph:
 
 def augment_with_parallel_originals(g: Graph, t: SprTree) -> tuple[Graph, SprTree]:
     """Insert weight-0 original edges so every virtual edge has a parallel
-    original: all-virtual P skeletons gain one, and every tree edge between
-    two non-P nodes is subdivided by a fresh P node carrying one."""
+    original: all-virtual P skeletons gain one, in node order, and then
+    every tree edge between two non-P nodes, in sorted order, is
+    subdivided by a fresh P node carrying one.  The first step of
+    `maximal_completion`."""
     new_edges = list(g.edges)
     skels: dict[int, dict] = {
         sn.id: {"kind": sn.kind, "nodes": list(sn.nodes), "edges": list(sn.edges)}
@@ -346,7 +339,7 @@ def augment_with_parallel_originals(g: Graph, t: SprTree) -> tuple[Graph, SprTre
             new_edges.append((a, b, 0))
             sk["edges"].append(SkelEdge(a, b, "orig", idx, 0))
 
-    for a, b, pid in list(tree_edges):
+    for a, b, pid in sorted(tree_edges):
         if skels[a]["kind"] == "P" or skels[b]["kind"] == "P":
             continue
         ea = next(e for e in skels[a]["edges"] if e.kind == "virt" and e.ref == pid)
@@ -506,11 +499,11 @@ def maximal_completion(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     Blocks are first joined at cut nodes, one edge at a time, until the
     graph is 2-connected.  The rest is added in one pass over the SPR-tree
     of that block (`_completion`), in this order: the pair of every P
-    skeleton without an original edge; the pair of every tree edge
-    between two non-P skeletons; then, skeleton by skeleton in tree order,
-    a fan from the minimum node of every S cycle with >= 4 nodes, and a
-    fan from the first node of every face longer than 3 of every planar R
-    skeleton.  Returns the completed graph and the list of added node
+    skeleton without an original edge and the pair of every tree edge
+    between two non-P skeletons (`augment_with_parallel_originals`);
+    then, skeleton by skeleton in tree order, a fan from the minimum node
+    of every S cycle with >= 4 nodes, and a fan from the first node of
+    every face longer than 3 of every planar R skeleton.  Returns the completed graph and the list of added node
     pairs, in insertion order.
     """
     if not is_connected(g):
@@ -545,23 +538,19 @@ _Piece = tuple[tuple[int, ...], list[tuple[int, int]]]
 
 def _completion(block: Block) -> tuple[list[tuple[int, int]], list[_Piece]]:
     """The additions of `maximal_completion` for a K33-minor-free block
-    with a tree, in the block's labels and in that order.  They are
+    with a tree, in the block's labels and in that order; the first are
+    the pairs `augment_with_parallel_originals` inserts.  They are
     distinct and new: skeletons share only virtual pairs, and faces of
     3-connected planar graphs have no chords.
 
     Also returns the pieces of the completed block: its triangles, planar
     triangulations and K5s, glued along real edges.
     """
-    tree = block.tree
-    kinds = {sn.id: sn.kind for sn in tree.nodes}
-    added = [sn.nodes for sn in tree.nodes
-             if sn.kind == "P" and not sn.originals()]
-    added += [next(e.endpoints() for e in tree.node(a).virtuals()
-                   if e.ref == pid)
-              for a, b, pid in sorted(tree.tree_edges)
-              if kinds[a] != "P" and kinds[b] != "P"]
+    g = block.graph
+    aug, _tree = augment_with_parallel_originals(g, block.tree)
+    added = [e[:2] for e in aug.edges[len(g.edges):]]
     pieces = []
-    for sn in tree.nodes:
+    for sn in block.tree.nodes:
         pairs = [e.endpoints() for e in sn.edges]
         cls, emb = block.r_skeletons.get(sn.id, (sn.kind, None))
         if sn.kind == "S" and len(sn.nodes) >= 4:
@@ -572,16 +561,15 @@ def _completion(block: Block) -> tuple[list[tuple[int, int]], list[_Piece]]:
                 pieces.append((tri, [tri[:2], tri[::2], tri[1:]]))
         elif cls == "Planar":
             chords = []
-            for face in planar_mod.faces_of(emb):
-                walk = [sn.nodes[x] for x in _face_nodes(emb.graph, face)]
+            for face in emb.faces:
+                walk = [sn.nodes[x] for x, _y in face]
                 chords += [(min(walk[0], x), max(walk[0], x))
                            for x in walk[2:-1]]
             added += chords
             pieces.append((sn.nodes, pairs + chords))
         elif sn.kind != "P":
             pieces.append((sn.nodes, pairs))
-    if len(set(added)) != len(added) or any(block.graph.has_edge(*e)
-                                            for e in added):
+    if len(set(added)) != len(added) or any(g.has_edge(*e) for e in added):
         raise CertificationError("completion tried to re-add an edge")
     return added, pieces
 
@@ -601,15 +589,3 @@ def _cycle_order(sn: SkeletonNode) -> list[int]:
         order.append(nxts[0])
     return order
 
-
-def _face_nodes(g: Graph, face: list[int]) -> list[int]:
-    """Vertex sequence of a face given as an edge-index walk."""
-    e0, e1 = face[0], face[1]
-    u0, v0, _ = g.edges[e0]
-    if u0 in g.edges[e1][:2]:
-        u0, v0 = v0, u0
-    walk = [u0, v0]
-    for i in face[1:-1]:
-        a, b, _ = g.edges[i]
-        walk.append(b if a == walk[-1] else a)
-    return walk

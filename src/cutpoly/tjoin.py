@@ -134,7 +134,7 @@ class _Blossom:
                 return
             if not self._dual_update(queue):
                 raise MatchingError("dual update stalled: infeasible instance")
-        raise AssertionError("matching phase failed to converge")
+        raise CertificationError("matching phase failed to converge")
 
     def _scan(self, queue: list[int]) -> tuple[int, int] | None:
         while queue:
@@ -167,7 +167,8 @@ class _Blossom:
         self.label_edge[bv] = (u, v)
         bm = self.base[bv]
         m = self.mate[bm]
-        assert m != -1, "free non-root blossom must be matched"
+        if m == -1:
+            raise CertificationError("free non-root blossom must be matched")
         bs = self.surface(m)
         self.label[bs] = self.S
         self.label_edge[bs] = (bm, m)
@@ -206,7 +207,8 @@ class _Blossom:
             edges.append((p, q))  # wrap: last child -> lca
         else:
             edges.append((u, v))  # surface(v) == lca: the tight edge wraps
-        assert len(childs) % 2 == 1, "blossom cycle must be odd"
+        if len(childs) % 2 == 0:
+            raise CertificationError("blossom cycle must be odd")
         nb = self.next_id
         self.next_id += 1
         for c in childs:
@@ -300,7 +302,8 @@ class _Blossom:
         x = v
         while x not in childs:
             x = self.parent[x]
-            assert x != -1
+            if x == -1:
+                raise CertificationError("vertex lies in no child of the blossom")
         return x
 
     # -- augmenting --------------------------------------------------------

@@ -10,10 +10,13 @@ from __future__ import annotations
 import functools
 import importlib.util
 import itertools
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
+import cutpoly
 from cutpoly import (Graph, GeneratorSpec, decompose_blocks, format_graph,
                      gen_k33free, is_connected, is_k_connected)
 from cutpoly.spqr import _completion
@@ -119,13 +122,20 @@ def random_2connected(seed: int, nmax: int = 10) -> Graph | None:
 
 
 @functools.cache
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, loaded as the module `perfbench_<name>`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
 def verify_small_pool(seed: int = 1) -> tuple[Graph, ...]:
     """The graphs of the benchmark's `verify-small` pool for one workload
     seed, drawn by `perfbench/workloads.py` itself."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_module("workloads")
     wl = workloads.WORKLOADS["verify-small"]
     pool, _rejected = workloads.make_pool(wl, seed, wl.pool_size, gen_k33free,
                                           GeneratorSpec, format_graph)
@@ -214,3 +224,13 @@ def forced_cut_optimum(g: Graph, edge_index: int, in_cut: bool) -> int:
     vals = [cut_weight(g, c) for c in enumerate_cuts(g)
             if bool((c.indicator >> edge_index) & 1) == in_cut]
     return max(vals)
+
+
+def run_python(*args):
+    """Run a Python subprocess with `args`; the child finds the same
+    cutpoly as this process, installed or not."""
+    src = str(Path(cutpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)

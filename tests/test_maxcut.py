@@ -6,8 +6,10 @@ from cutpoly import (EliminationState, Graph, K33MinorError, cut_weight,
                      decompose_blocks, maxcut, maxcut_bruteforce,
                      planar_maxcut)
 from cutpoly.maxcut import NonPlanarError
+from frozen_elimination import FrozenElimination
 from helpers import (complete, cycle, double_k5, forced_cut_optimum, k33,
-                     octahedron, random_planar_2connected)
+                     octahedron, random_planar_2connected,
+                     stacked_triangulation)
 
 
 def test_bruteforce_examples():
@@ -90,9 +92,10 @@ def test_first_step_betas_on_shared_triangles(weights):
 
 def test_k5_leaf_betas():
     """Leaf K5 skeleton with unit originals.  The virtual edge carries the
-    weight of its parallel original: with the augmented weight-0 edge the
-    best ab-in-cut value is 5 and the best ab-out value is 6 (enumeration
-    over the 16 cuts of K5); with a unit parallel edge both are 6."""
+    weight of its pair's bundle: 0 when the pair has no original edge,
+    so the best ab-in-cut value is 5 and the best ab-out value is 6
+    (enumeration over the 16 cuts of K5); with a unit original edge on
+    the pair both are 6."""
     state = EliminationState(decompose_blocks(double_k5())[0])
     step = state.eliminate(state.eligible_leaves()[0])
     assert (step.beta_plus, step.beta_minus) == (5, 6)
@@ -114,7 +117,7 @@ def test_s_node_c4_leaf_betas():
                   (0, 4, 1), (1, 4, 1)])
     state = EliminationState(decompose_blocks(g)[0])
     leaf = next(l for l in state.eligible_leaves()
-                if len(state.skel_edges[l]) == 4)
+                if len(state.tree.node(l).edges) == 4)
     step = state.eliminate(leaf)
     assert (step.beta_plus, step.beta_minus) == (4, 2)
     value, _ = state.run()
@@ -134,6 +137,32 @@ def test_elimination_telescope():
     assert state.base == sum(s.beta_minus for s in state.steps)
     assert value == state.base + final_value
     assert value == maxcut_bruteforce(g).value
+
+
+def test_elimination_matches_frozen_augmented_oracle():
+    """Bundles take the very steps of the augmented tree (`FrozenElimination`,
+    the elimination before bundles): same leaves, virtual edges, betas,
+    gammas and sides, and the same final assignment, under lowest-id
+    order and three seeded random orders."""
+    from cutpoly import GeneratorSpec, gen_k33free
+    graphs = [gen_k33free(GeneratorSpec(
+        seed=seed, component_count=1 + seed % 8, tri_size=(4, 4 + seed % 9),
+        strict=seed % 3 == 0, deletion_prob=(seed % 4, 10)))
+        for seed in range(200)]
+    graphs += [stacked_triangulation(n, random.Random(n))
+               for n in (8, 20, 40, 80)]
+    decomposed = [b for g in graphs for b in decompose_blocks(g) if b.tree]
+    assert len(decomposed) >= 200
+    for block in decomposed:
+        for seed in (None, 1, 2, 3):
+            state, frozen = EliminationState(block), FrozenElimination(block)
+            rnd = random.Random(seed)
+            while not frozen.done():
+                leaves = frozen.eligible_leaves()
+                assert state.eligible_leaves() == leaves
+                leaf = leaves[0] if seed is None else rnd.choice(leaves)
+                assert state.eliminate(leaf) == frozen.eliminate(leaf)
+            assert state.done() and state.finish() == frozen.finish()
 
 
 def test_eliminate_rejects_non_leaves():

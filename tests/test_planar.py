@@ -1,13 +1,8 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import cutpoly
 from cutpoly import (DisconnectedError, GeneratorSpec, Graph, decompose_blocks,
                      dual_graph, enumerate_cuts, faces_of, gen_k33free,
                      minor_exhaustive, planar_embed)
@@ -15,7 +10,7 @@ from cutpoly.planar import _embed_biconnected
 from cutpoly.spqr import _skeleton_graph
 from fragment_embedding import embed_biconnected
 from helpers import (complete, cycle, k33, octahedron, random_graph,
-                     stacked_triangulation)
+                     run_python, stacked_triangulation)
 
 
 def test_k4_embedding_euler():
@@ -189,17 +184,9 @@ except CertificationError as exc:
 """
 
 
-def run_python(flags, script):
-    src = str(Path(cutpoly.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *flags, "-c", script],
-                          capture_output=True, text=True, env=env)
-
-
 @pytest.mark.parametrize("flags", [(), ("-O",)])
 def test_orbit_check_raises_without_asserts(flags):
-    proc = run_python(flags, ORBIT_SPLIT)
+    proc = run_python(*flags, "-c", ORBIT_SPLIT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "embedding darts at a node form one orbit\n"
 
@@ -226,6 +213,6 @@ for run in (planar.planar_embed, spr_tree):
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
 def test_euler_check_raises_without_asserts(flags):
-    proc = run_python(flags, EULER_BREAK)
+    proc = run_python(*flags, "-c", EULER_BREAK)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "face count breaks Euler's formula f = m - n + 2\n" * 2

@@ -123,6 +123,32 @@ def test_augment_octahedron_unchanged():
     assert g2 == g
 
 
+def test_augment_inserts_pairs_in_tree_order():
+    """Augmentation, the first step of completion, inserts the pair of
+    every all-virtual P skeleton in node order, then the pair of every
+    tree edge between two non-P skeletons in sorted tree-edge order."""
+    reordered = 0
+    for seed in range(120):
+        g = gen_k33free(GeneratorSpec(
+            seed=seed, component_count=1 + seed % 6, strict=seed % 2 == 0,
+            deletion_prob=(seed % 3, 10)))
+        for block in decompose_blocks(g):
+            t = block.tree
+            if t is None:
+                continue
+            kinds = {sn.id: sn.kind for sn in t.nodes}
+            want = [sn.nodes for sn in t.nodes
+                    if sn.kind == "P" and not sn.originals()]
+            bare = [(a, b, pid) for a, b, pid in t.tree_edges
+                    if "P" not in (kinds[a], kinds[b])]
+            want += [next(e.endpoints() for e in t.node(a).virtuals()
+                          if e.ref == pid) for a, _b, pid in sorted(bare)]
+            g2, _t2 = augment_with_parallel_originals(block.graph, t)
+            assert [e[:2] for e in g2.edges[len(block.graph.edges):]] == want
+            reordered += bare != sorted(bare)
+    assert reordered  # pair-id order and sorted order differ somewhere
+
+
 def test_augment_every_virtual_gets_parallel_original():
     for seed in range(80):
         g = random_2connected(seed)

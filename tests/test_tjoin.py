@@ -15,7 +15,7 @@ from cutpoly import tjoin as tjoin_mod
 from cutpoly.tjoin import _Blossom
 from allpairs_tjoin import allpairs_t_join
 from fraction_blossom import FractionBlossom
-from helpers import matching_oracle, tjoin_oracle
+from helpers import matching_oracle, run_python, tjoin_oracle
 
 maxcut_mod = importlib.import_module("cutpoly.maxcut")  # `maxcut` is the function
 
@@ -351,6 +351,48 @@ def test_rotate_needs_no_recursion():
             FractionBlossom([row[:] for row in w]).solve()
     finally:
         sys.setrecursionlimit(limit)
+
+
+# each blossom invariant, broken on a fresh solver of K4
+BLOSSOM_CHECKS = """
+from cutpoly import CertificationError
+from cutpoly.tjoin import _Blossom
+
+def even_cycle(s):
+    # surface 1 hangs below surface 0, and the tight edge 1-0 would close
+    # a cycle of two children
+    s.label_edge = {0: None, 1: (0, 1)}
+    s._add_blossom([1, 0], [0], 1, 0, [])
+
+def unmatched_free_blossom(s):
+    s._grow(0, 1, 1, [])  # vertex 1 is free, yet not a root
+
+def vertex_in_no_child(s):
+    s.child_containing_after_dissolve(0, [2, 3])
+
+def no_convergence(s):
+    s._scan = lambda queue: None
+    s._dual_update = lambda queue: True
+    s._run_phase()
+
+for breaking in (even_cycle, unmatched_free_blossom, vertex_in_no_child,
+                 no_convergence):
+    try:
+        breaking(_Blossom([[int(i != j) for j in range(4)] for i in range(4)]))
+    except CertificationError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_blossom_checks_raise_without_asserts(flags):
+    proc = run_python(*flags, "-c", BLOSSOM_CHECKS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "blossom cycle must be odd",
+        "free non-root blossom must be matched",
+        "vertex lies in no child of the blossom",
+        "matching phase failed to converge"]
 
 
 def test_unmatched_vertex_raises(monkeypatch):

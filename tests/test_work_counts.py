@@ -2,6 +2,7 @@
 counters and never by timing.  Each count is checked on a small and a
 larger instance, so a bound that held only at one size shows up."""
 
+import importlib
 import itertools
 import random
 
@@ -13,7 +14,8 @@ from cutpoly import graphs as graphs_mod
 from cutpoly import planar as planar_mod
 from cutpoly import polytope, spqr
 from cutpoly import tjoin as tjoin_mod
-from helpers import complete, stacked_triangulation, verify_small_pool
+from helpers import (complete, perfbench_module, stacked_triangulation,
+                     verify_small_pool)
 
 SIZES = (24, 80)
 
@@ -138,3 +140,13 @@ def test_dd_cone_multiplies_each_row_with_each_live_ray_once(graph,
         live = {v for v, val in vals.items() if val <= 0}
         dropped |= vals.keys() - live
     assert live <= set(result) and not dropped & set(result)
+
+
+def test_traced_names_resolve():
+    """Every function the bench tracer wraps exists under its name, so
+    renaming or deleting one fails here, not only in a traced bench run."""
+    for modname, attr in perfbench_module("tracer").TARGETS:
+        owner = importlib.import_module(f"cutpoly.{modname}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (modname, attr)
