@@ -80,7 +80,7 @@ class _Sweep:
     one `masked_cut_nodes` DFS over a single shared adjacency list,
     computed at most once, so the R test, the split search and the kind
     re-check of a component share them.  `embedding` is the component's
-    embedding as a skeleton (edges in `_skeleton_order`), or None when it
+    embedding as a skeleton (edges in skeleton order), or None when it
     is non-planar, also computed at most once."""
 
     def __init__(self, nodes: list[int], edges: list[tuple[int, int, tuple]]):
@@ -101,9 +101,13 @@ class _Sweep:
 
     @functools.cached_property
     def embedding(self) -> planar_mod.Embedding | None:
+        # virtuals by node pair: in a simple component this is the order
+        # of their canonical pair ids, which `_build_tree` assigns later
         sg, _ = compact_graph(self.nodes, [
             (u, v, t[2] if t[0] == "orig" else 0)
-            for u, v, t in sorted(self.edges, key=_skeleton_order)])
+            for u, v, t in sorted(self.edges, key=lambda e: (
+                e[2][0] != "orig", e[2][1] if e[2][0] == "orig"
+                else (min(e[:2]), max(e[:2]))))])
         return planar_mod.planar_embed(sg)
 
     def has_k5_at_degree_4(self) -> bool:
@@ -259,23 +263,38 @@ def _spr_tree(g: Graph) -> tuple[SprTree, tuple[_Sweep, ...]]:
 
 def _build_tree(g: Graph,
                 comps: list[tuple]) -> tuple[SprTree, tuple[_Sweep, ...]]:
-    # deterministic node ids: sort by (smallest original ref, kind, nodes)
+    """Number the components and their virtual pairs canonically, so the
+    tree does not depend on the order in which the components were found:
+    node ids by (smallest original ref, kind, nodes, edge pairs), pair ids
+    by (sorted node pair, sorted pair of the two node ids)."""
     def sort_key(comp):
         kind, nodes, edges, _cuts = comp
         origs = sorted(t[1] for _u, _v, t in edges if t[0] == "orig")
-        return (origs[0] if origs else len(g.edges), kind, tuple(nodes))
+        return (origs[0] if origs else len(g.edges), kind, tuple(nodes),
+                sorted((min(u, v), max(u, v)) for u, v, _t in edges))
 
     comps = sorted(comps, key=sort_key)
-    skel_nodes = []
     owner: dict[int, list[int]] = {}
+    ends: dict[int, tuple[int, int]] = {}
+    for i, (_kind, _nodes, edges, _cuts) in enumerate(comps):
+        for u, v, t in edges:
+            if t[0] == "virt":
+                owner.setdefault(t[1], []).append(i)
+                ends[t[1]] = (min(u, v), max(u, v))
+    for cs in owner.values():
+        _check_pair(cs)
+    canon = {pid: k for k, pid in enumerate(sorted(
+        owner, key=lambda pid: (ends[pid], sorted(owner[pid]))))}
+    skel_nodes = []
     for i, (kind, nodes, edges, cuts) in enumerate(comps):
         skel_edges = []
-        for u, v, t in sorted(edges, key=_skeleton_order):
+        for u, v, t in sorted(((u, v, t if t[0] == "orig"
+                                else ("virt", canon[t[1]]))
+                               for u, v, t in edges), key=_skeleton_order):
             if t[0] == "orig":
                 skel_edges.append(SkelEdge(u, v, "orig", t[1], t[2]))
             else:
                 skel_edges.append(SkelEdge(u, v, "virt", t[1], 0))
-                owner.setdefault(t[1], []).append(i)
         # re-derive and check the kind (on the component's own sweep and
         # embedding)
         check = _classify(list(nodes), [(e.u, e.v, None) for e in skel_edges],
@@ -284,12 +303,11 @@ def _build_tree(g: Graph,
             raise CertificationError(f"skeleton kind drift: {check} != {kind}")
         skel_nodes.append(SkeletonNode(i, kind, tuple(nodes), tuple(skel_edges)))
     tree_edges = []
-    for pid, cs in sorted(owner.items()):
-        _check_pair(cs)
-        a, b = sorted(cs)
+    for pid in sorted(owner, key=canon.__getitem__):
+        a, b = sorted(owner[pid])
         if skel_nodes[a].kind == skel_nodes[b].kind in ("S", "P"):
             raise CertificationError("same-kind adjacency")
-        tree_edges.append((a, b, pid))
+        tree_edges.append((a, b, canon[pid]))
     return (SprTree(tuple(skel_nodes), tuple(tree_edges)),
             tuple(cuts for _k, _n, _e, cuts in comps))
 
