@@ -1,31 +1,39 @@
-"""3-connectivity decomposition (SPR-tree) via recursive Tutte splits.
+"""3-connectivity decomposition (SPR-tree), one linear pass per block.
 
 Skeletons are S (cycles), P (two nodes with >= 3 parallel edges) and R
 (simple 3-connected graphs), linked in a tree by paired virtual edges.
-Construction splits at split pairs until every piece is a bond, a cycle
-or 3-connected, then merges adjacent same-kind S/P nodes; the result is
-the canonical decomposition regardless of split order.  `decompose_blocks`
-builds it once per block of a graph, with the class of each R skeleton,
-for the minor tests, the MaxCut solver and the facet code to share.
+`_triconnected_components` finds them in one pass over the block read as
+a multigraph, after Hopcroft & Tarjan, "Dividing a graph into
+triconnected components" (SIAM J. Comput. 1973), with the corrections of
+Gutwenger & Mutzel, "A linear time implementation of SPQR-trees" (GD
+2000).  The decomposition is unique, and `_build_tree` numbers it
+canonically, so the tree does not depend on how it was found.
+`decompose_blocks` builds it once per block of a graph, with the class of
+each R skeleton, for the minor tests, the MaxCut solver and the facet
+code to share.
 
-A component is 3-connected by its shape alone when it is one of the two
-piece types of K33-minor-free graphs: K5-shaped (5 nodes, 10 edges, so
-complete), or triangulation-shaped (m = 3n - 6) with a planar embedding,
-so maximal planar and 3-connected (Whitney).  Such a component needs no
-sweep of any G-v, and the embedding that certified it is the skeleton's
-only one.  Every other shape is tested by sweeping each G-v.
+Every tree is certified as it is built, by checks that raise
+`CertificationError` and so also run under `python -O`: the skeletons'
+original edges recompose the input, each pair id is held by exactly two
+skeletons on one node pair and the pairs link the skeletons into a tree,
+each skeleton has the shape of its kind, and no two S or two P skeletons
+are adjacent.  An R skeleton is 3-connected by its shape alone when it is
+one of the two piece types of K33-minor-free graphs: K5-shaped (5 nodes,
+10 edges, so complete), or triangulation-shaped (m = 3n - 6) with a
+planar embedding, so maximal planar and 3-connected (Whitney); that
+embedding is the skeleton's only one.  Any other R skeleton is certified
+by one sweep of each G-v.  A block of either shape is one R skeleton as
+it stands, and skips the pass.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import (CertificationError, Graph, GraphError,
                      NotTwoConnectedError, blocks, compact_graph,
-                     disjoint_sets, is_connected, is_k_connected,
-                     masked_cut_nodes)
+                     disjoint_sets, is_connected, is_k_connected)
 from . import planar as planar_mod
 
 
@@ -66,181 +74,10 @@ class SprTree:
         return self.nodes[i]
 
 
-# decomposition works on lists of (u, v, tag) with tag ("orig", idx, weight)
-# or ("virt", pair_id); a final component is (kind, nodes, edges, `_Sweep`)
-
-def _skeleton_order(edge: tuple[int, int, tuple]) -> tuple[bool, int]:
-    """Edge order of a skeleton: originals by index, then virtuals by id."""
-    return edge[2][0] != "orig", edge[2][1]
-
-
-class _Sweep:
-    """Connectivity oracle of one component: `cuts(v)` is (cut nodes of
-    G-v, whether G-v is connected), v None for G itself.  Each answer is
-    one `masked_cut_nodes` DFS over a single shared adjacency list,
-    computed at most once, so the R test, the split search and the kind
-    re-check of a component share them.  `embedding` is the component's
-    embedding as a skeleton (edges in skeleton order), or None when it
-    is non-planar, also computed at most once."""
-
-    def __init__(self, nodes: list[int], edges: list[tuple[int, int, tuple]]):
-        self.nodes, self.edges = nodes, edges
-        self.index = {x: i for i, x in enumerate(nodes)}
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
-        for i, (a, b) in enumerate({(self.index[u], self.index[v])
-                                    for u, v, _t in edges}):
-            self.adj[a].append((b, i))
-            self.adj[b].append((a, i))
-        self._cuts: dict[int | None, tuple[set[int], bool]] = {}
-
-    def __call__(self, v: int | None) -> tuple[set[int], bool]:
-        if v not in self._cuts:
-            found, connected = masked_cut_nodes(self.adj, self.index.get(v))
-            self._cuts[v] = {self.nodes[c] for c in found}, connected
-        return self._cuts[v]
-
-    @functools.cached_property
-    def embedding(self) -> planar_mod.Embedding | None:
-        # virtuals by node pair: in a simple component this is the order
-        # of their canonical pair ids, which `_build_tree` assigns later
-        sg, _ = compact_graph(self.nodes, [
-            (u, v, t[2] if t[0] == "orig" else 0)
-            for u, v, t in sorted(self.edges, key=lambda e: (
-                e[2][0] != "orig", e[2][1] if e[2][0] == "orig"
-                else (min(e[:2]), max(e[:2]))))])
-        return planar_mod.planar_embed(sg)
-
-    def has_k5_at_degree_4(self) -> bool:
-        """Whether some node of degree 4 has pairwise adjacent neighbors:
-        a K5 subgraph, so the component is not planar."""
-        nbrs = [{y for y, _i in a} for a in self.adj]
-        return any(len(ns) == 4 and all(nbrs[x] >= ns - {x} for x in ns)
-                   for ns in nbrs)
-
-
-def _shape_certified(n: int, m: int, cuts: _Sweep) -> bool:
-    """Whether a simple 2-connected component with n >= 4 nodes and m
-    edges is 3-connected by its shape alone: K5-shaped (complete, so
-    4-connected), or triangulation-shaped (m = 3n - 6) with an embedding,
-    so maximal planar and 3-connected by Whitney's theorem.  A component
-    that shows a K5 at a degree-4 node is not planar, so it is not
-    embedded."""
-    if n == 5 and m == 10:
-        return True
-    return (m == 3 * n - 6 and not cuts.has_k5_at_degree_4()
-            and cuts.embedding is not None)
-
-
-def _classify(nodes: list[int], edges: list[tuple[int, int, tuple]],
-              cuts: _Sweep) -> str | None:
-    """Final-component test: 'P', 'S', 'R' or None (must split further).
-
-    Every component is 2-connected: the input block is (its caller proves
-    that once), and a Tutte split keeps both sides 2-connected.  So a
-    simple component with as many edges as nodes is a cycle, and one on
-    n >= 4 nodes is R when its shape certifies it or else when every G-v
-    is connected and cut-node free (one sweep of `cuts` per node)."""
-    if len(nodes) == 2:
-        return "P"
-    if len({(min(u, v), max(u, v)) for u, v, _t in edges}) < len(edges):
-        return None  # parallel edges on >= 3 nodes: split at that pair
-    n, m = len(nodes), len(edges)
-    if m == n:
-        return "S"
-    if n > 3 and (_shape_certified(n, m, cuts)
-                  or all(cuts(v) == (set(), True) for v in nodes)):
-        return "R"
-    return None
-
-
-def _split_classes(edges: list[tuple[int, int, tuple]],
-                   v: int, w: int) -> list[list[int]]:
-    """Split classes of pair {v, w}: edge-index groups connected through
-    internal nodes outside {v, w}.  Each parallel v-w edge is a singleton."""
-    first_edge: dict[int, int] = {}
-    pairs = []
-    for i, (a, b, _t) in enumerate(edges):
-        for x in (a, b):
-            if x not in (v, w):
-                pairs.append((first_edge.setdefault(x, i), i))
-    return disjoint_sets(len(edges), pairs)
-
-
-def _find_split(nodes: list[int], edges: list[tuple[int, int, tuple]], cuts):
-    """A split pair with a bipartition of its classes, both sides >= 2 edges.
-
-    Pairs are tried in lexicographic order; only the partners below can
-    succeed, so the first split found is the same as in a scan over all
-    pairs.
-    """
-    for v in sorted(nodes):
-        # partners w > v that can form a split pair with v: the cut nodes
-        # of G-v (then G-{v, w} is disconnected, giving two classes of >= 2
-        # edges) and the nodes joined to v by parallel edges (two singleton
-        # classes)
-        partners = Counter(b if a == v else a for a, b, _t in edges if v in (a, b))
-        found = cuts(v)[0] | {w for w, c in partners.items() if c >= 2}
-        for w in sorted(w for w in found if w > v):
-            classes = _split_classes(edges, v, w)
-            singles = [c for c in classes if len(c) == 1]
-            bigs = [c for c in classes if len(c) >= 2]
-            if len(bigs) >= 2:
-                side_a = bigs[0]
-            elif len(singles) >= 2:
-                side_a = [i for c in singles for i in c]
-            else:
-                continue
-            taken = set(side_a)
-            rest = [i for i in range(len(edges)) if i not in taken]
-            if len(rest) >= 2:
-                return v, w, side_a, rest
-    return None
-
-
-def _decompose(nodes: list[int], edges: list[tuple[int, int, tuple]],
-               next_pid: list[int]) -> list[tuple]:
-    cuts = _Sweep(nodes, edges)
-    kind = _classify(nodes, edges, cuts)
-    if kind is not None:
-        return [(kind, nodes, edges, cuts)]
-    found = _find_split(nodes, edges, cuts)
-    if found is None:
-        raise CertificationError("non-final component must have a split pair")
-    v, w, side_a, side_b = found
-    pid = next_pid[0]
-    next_pid[0] += 1
-    out = []
-    for side in (side_a, side_b):
-        sedges = [edges[i] for i in side] + [(v, w, ("virt", pid))]
-        snodes = sorted({x for a, b, _t in sedges for x in (a, b)})
-        out.extend(_decompose(snodes, sedges, next_pid))
-    return out
-
-
-def _merge_same_kind(comps: list[tuple]):
-    """Merge adjacent S-S and P-P components along their shared pair id."""
-    while True:
-        owner: dict[int, list[int]] = {}
-        for ci, (_k, _n, es, _c) in enumerate(comps):
-            for _u, _v, t in es:
-                if t[0] == "virt":
-                    owner.setdefault(t[1], []).append(ci)
-        todo = None
-        for pid, cs in sorted(owner.items()):
-            _check_pair(cs)
-            a, b = cs
-            if a != b and comps[a][0] == comps[b][0] and comps[a][0] in ("S", "P"):
-                todo = (pid, a, b)
-                break
-        if todo is None:
-            return comps
-        pid, a, b = todo
-        (ka, na, ea, _ca), (_kb, nb, eb, _cb) = comps[a], comps[b]
-        merged_edges = [e for e in ea + eb if e[2] != ("virt", pid)]
-        merged_nodes = sorted(set(na) | set(nb))
-        comps = [c for i, c in enumerate(comps) if i not in (a, b)]
-        comps.append((ka, merged_nodes, merged_edges,
-                      _Sweep(merged_nodes, merged_edges)))
+# the class of an R skeleton ("K5", "PlanarTriangulation", "Planar" or
+# "NonPlanar"), with the embedding of its skeleton graph that shows it
+# planar (None for K5 and non-planar skeletons)
+RClass = tuple[str, "planar_mod.Embedding | None"]
 
 
 def spr_tree(g: Graph) -> SprTree:
@@ -252,70 +89,521 @@ def spr_tree(g: Graph) -> SprTree:
     return _spr_tree(g)[0]
 
 
-def _spr_tree(g: Graph) -> tuple[SprTree, tuple[_Sweep, ...]]:
+def _spr_tree(g: Graph) -> tuple[SprTree, dict[int, RClass]]:
     """`spr_tree` of a graph already known to be 2-connected with >= 3
-    edges, with the `_Sweep` of each skeleton, indexed by node id."""
-    edges = [(u, v, ("orig", i, w)) for i, (u, v, w) in enumerate(g.edges)]
-    comps = _decompose(sorted(range(g.node_count)), edges, [0])
-    comps = _merge_same_kind(comps)
-    return _build_tree(g, comps)
+    edges, with the class of each R skeleton by node id.  A graph that is
+    3-connected by its shape is one R skeleton, g itself."""
+    by_shape = _shape_class(g)
+    if by_shape is None:
+        return _tree(g.node_count, g.edges)
+    sn = SkeletonNode(0, "R", tuple(range(g.node_count)), tuple(
+        SkelEdge(u, v, "orig", i, w) for i, (u, v, w) in enumerate(g.edges)))
+    return SprTree((sn,), ()), {0: by_shape}
 
 
-def _build_tree(g: Graph,
-                comps: list[tuple]) -> tuple[SprTree, tuple[_Sweep, ...]]:
-    """Number the components and their virtual pairs canonically, so the
-    tree does not depend on the order in which the components were found:
-    node ids by (smallest original ref, kind, nodes, edge pairs), pair ids
-    by (sorted node pair, sorted pair of the two node ids)."""
+def _tree(node_count: int, edges) -> tuple[SprTree, dict[int, RClass]]:
+    """SPR-tree of a 2-connected multigraph on nodes 0..node_count-1 with
+    >= 3 edges, given as (u, v, weight) triples (edge i is original i),
+    with the class of each R skeleton."""
+    return _build_tree(edges, _triconnected_components(node_count, edges))
+
+
+def _shape_class(sg: Graph) -> RClass | None:
+    """The class of a simple graph that is 3-connected by its shape alone:
+    K5-shaped (5 nodes, 10 edges: complete, so 4-connected), or
+    triangulation-shaped (m = 3n - 6, n >= 4) with an embedding, so
+    maximal planar and 3-connected by Whitney's theorem; None otherwise.
+    A graph with a degree-4 node whose neighbours are pairwise adjacent
+    holds a K5, so it is not planar and is not embedded."""
+    n, m = sg.node_count, len(sg.edges)
+    if n == 5 and m == 10:
+        return "K5", None
+    if n < 4 or m != 3 * n - 6:
+        return None
+    nbrs = [{y for y, _i in sg.neighbors(x)} for x in range(n)]
+    if any(len(ns) == 4 and all(nbrs[x] >= ns - {x} for x in ns)
+           for ns in nbrs):
+        return None
+    emb = planar_mod.planar_embed(sg)
+    return None if emb is None else ("PlanarTriangulation", emb)
+
+
+def _r_class(sn: SkeletonNode) -> RClass:
+    """The class of an R skeleton, certified 3-connected by its shape
+    (`_shape_class`) or else by one sweep of each G-v of its graph."""
+    if len(sn.nodes) == 5 and len(sn.edges) == 10:
+        return "K5", None  # no graph needed
+    sg, _ = _skeleton_graph(sn)
+    by_shape = _shape_class(sg)
+    if by_shape is not None:
+        return by_shape
+    if not is_k_connected(sg, 3):
+        raise CertificationError("R skeleton is not 3-connected")
+    # with m >= 3n - 6 and no shape certificate it holds a K5 or fails
+    # to embed, or has too many edges to be planar
+    if len(sg.edges) >= 3 * sg.node_count - 6:
+        return "NonPlanar", None
+    emb = planar_mod.planar_embed(sg)
+    return ("NonPlanar", None) if emb is None else ("Planar", emb)
+
+
+_EOS = (-1, -1, -1)  # end-of-segment mark on the triple stack
+
+
+def _triconnected_components(node_count: int, edges) -> list[tuple]:
+    """The triconnected components of a 2-connected multigraph on nodes
+    0..node_count-1 with >= 3 edges, given as (u, v, weight) triples, as
+    (kind, sorted nodes, [(u, v, tag)]), tag ("orig", i, weight) for edge
+    i or ("virt", id) for one of the two virtual edges with that id.
+
+    Gutwenger & Mutzel's steps, each DFS on an explicit frame stack:
+    split off parallel edges as bonds; DFS 1 for lowpt1, lowpt2 and nd,
+    orienting tree arcs down and fronds up; sort each adjacency list by
+    phi; DFS 2 for the path numbering (from here on a node is its number,
+    so v < w means v was numbered first) and the highpt lists; the path
+    search, which cuts off a split component at every type-2 and type-1
+    separation pair, keeping the pairs in the triple stack TSTACK and the
+    edges in ESTACK; and last, merge adjacent bonds and adjacent
+    polygons.  A split component is a polygon exactly when it has as
+    many edges as nodes (the pass leaves only triangles, bonds and
+    3-connected graphs before the merge).
+    """
+    m = len(edges)
+    if node_count == 2:
+        return [("P", [0, 1], [(u, v, ("orig", i, w))
+                               for i, (u, v, w) in enumerate(edges)])]
+    # edge e < m is original e, later ones are virtual; src/tgt are
+    # oriented by DFS 1
+    src = [u for u, _v, _w in edges]
+    tgt = [v for _u, v, _w in edges]
+    found: list[tuple[bool, list[int]]] = []  # (is a bond, edge ids)
+    first: dict[tuple[int, int], list[int]] = {}
+    for i, (u, v, _w) in enumerate(edges):
+        first.setdefault((u, v) if u < v else (v, u), []).append(i)
+    inc: list[list[int]] = [[] for _ in range(node_count)]
+    for (u, v), ids in first.items():
+        e = ids[0]
+        if len(ids) > 1:
+            e = len(src)
+            src.append(u)
+            tgt.append(v)
+            found.append((True, [*ids, e]))
+        inc[u].append(e)
+        inc[v].append(e)
+
+    # DFS 1
+    etype = [0] * len(src)  # 1 tree arc, 2 frond, 0 not in the graph
+    number = [0] * node_count
+    father = [-1] * node_count
+    low1 = [0] * node_count
+    low2 = [0] * node_count
+    nd = [1] * node_count
+    tree_arc = [-1] * node_count
+    number[0] = low1[0] = low2[0] = count = 1
+    frames = [(0, iter(inc[0]))]
+    while frames:
+        v, it = frames[-1]
+        for e in it:
+            if etype[e]:
+                continue
+            w = tgt[e] if src[e] == v else src[e]
+            src[e], tgt[e] = v, w
+            if not number[w]:
+                etype[e] = 1
+                tree_arc[w], father[w] = e, v
+                count += 1
+                number[w] = low1[w] = low2[w] = count
+                frames.append((w, iter(inc[w])))
+                break
+            etype[e] = 2
+            nw = number[w]
+            if nw < low1[v]:
+                low1[v], low2[v] = nw, low1[v]
+            elif low1[v] < nw < low2[v]:
+                low2[v] = nw
+        else:
+            frames.pop()
+            p = father[v]
+            if p < 0:
+                continue
+            if low1[v] < low1[p]:
+                low1[p], low2[p] = low1[v], min(low1[p], low2[v])
+            elif low1[v] == low1[p]:
+                low2[p] = min(low2[p], low2[v])
+            else:
+                low2[p] = min(low2[p], low1[v])
+            nd[p] += nd[v]
+
+    # adjacency lists of the arcs out of each node, sorted by phi
+    def phi(e: int) -> int:
+        w = tgt[e]
+        if etype[e] == 2:
+            return 3 * number[w] + 1
+        return 3 * low1[w] + (0 if low2[w] < number[src[e]] else 2)
+
+    adj: list[list[int]] = [[] for _ in range(node_count)]
+    in_adj = [0] * len(src)  # position of an arc in its source's list
+    for e in sorted((e for e in range(len(src)) if etype[e]), key=phi):
+        a = adj[src[e]]
+        in_adj[e] = len(a)
+        a.append(e)
+
+    # DFS 2: path numbering, path starts and highpt lists
+    newnum = [0] * node_count
+    starts = [False] * len(src)
+    highpt: list[list[int]] = [[] for _ in range(node_count)]
+    count = node_count
+    newnum[0] = count - nd[0] + 1
+    new_path = True
+    frames = [(0, iter(adj[0]))]
+    while frames:
+        v, it = frames[-1]
+        for e in it:
+            if new_path:
+                new_path, starts[e] = False, True
+            w = tgt[e]
+            if etype[e] == 1:
+                newnum[w] = count - nd[w] + 1
+                frames.append((w, iter(adj[w])))
+                break
+            highpt[w].append(e)
+            new_path = True
+        else:
+            frames.pop()
+            count -= 1
+
+    # from here on every node is its number 1..n (0 is no node)
+    size = node_count + 1
+    node_at = [0] * size
+    old2new = [0] * size
+    for v in range(node_count):
+        node_at[newnum[v]] = v
+        old2new[number[v]] = newnum[v]
+    L1, L2, ND, FA, DEG, TA = ([0] * size for _ in range(6))
+    ADJ: list[list[int]] = [[] for _ in range(size)]
+    HP: list[list[int]] = [[] for _ in range(size)]
+    for v in range(node_count):
+        x = newnum[v]
+        L1[x], L2[x] = old2new[low1[v]], old2new[low2[v]]
+        ND[x], DEG[x], TA[x] = nd[v], len(inc[v]), tree_arc[v]
+        FA[x] = newnum[father[v]] if father[v] >= 0 else 0
+        ADJ[x], HP[x] = adj[v], highpt[v]
+    src = [newnum[x] for x in src]
+    tgt = [newnum[x] for x in tgt]
+
+    in_high = [False] * len(src)  # whether a frond is in a highpt list
+    for fronds in HP:
+        for e in fronds:
+            in_high[e] = True
+    hp_head = [0] * size  # first live entry of HP[x]
+    hp_front: list[list[int]] = [[] for _ in range(size)]  # pushed later
+    adj_head = [0] * size  # first live entry of ADJ[x]
+
+    def high(x: int) -> int:
+        """Source of the first live frond into x, else 0."""
+        f = hp_front[x]
+        while f and not in_high[f[-1]]:
+            f.pop()
+        if f:
+            return src[f[-1]]
+        h, k = HP[x], hp_head[x]
+        while k < len(h) and not in_high[h[k]]:
+            k += 1
+        hp_head[x] = k
+        return src[h[k]] if k < len(h) else 0
+
+    def first_target(x: int) -> int:
+        a, k = ADJ[x], adj_head[x]
+        while a[k] < 0:
+            k += 1
+        adj_head[x] = k
+        return tgt[a[k]]
+
+    def new_edge(a: int, b: int) -> int:
+        src.append(a)
+        tgt.append(b)
+        etype.append(0)
+        in_high.append(False)
+        in_adj.append(-1)
+        return len(src) - 1
+
+    # the path search; a deleted arc is -1 in its adjacency list
+    TS = [_EOS]
+    ES: list[int] = []
+    pos = [0] * size  # next arc of each node on the frame stack
+    outv = [0] * size  # arcs out of a node not searched yet
+    arc = [0] * size  # the tree arc each node on the frame stack descends
+    outv[1] = len(ADJ[1])
+    frames = [1]
+    while frames:
+        v = frames[-1]
+        a = ADJ[v]
+        k = pos[v]
+        while k < len(a):
+            e = a[k]
+            if e < 0:
+                k += 1
+                continue
+            w = tgt[e]
+            lw = L1[w] if etype[e] == 1 else w
+            if starts[e]:
+                if TS[-1][1] > lw:
+                    y = 0
+                    while TS[-1][1] > lw:
+                        h, _a, b = TS.pop()
+                        y = max(y, h)
+                    TS.append((y, lw, b))
+                elif etype[e] == 1:
+                    TS.append((w + ND[w] - 1, lw, v))
+                else:
+                    TS.append((v, w, v))
+            if etype[e] == 1:
+                if starts[e]:
+                    TS.append(_EOS)
+                break
+            ES.append(e)
+            k += 1
+        pos[v] = k
+        if k < len(a):
+            arc[v] = e
+            outv[w] = len(ADJ[w])
+            frames.append(w)
+            continue
+        frames.pop()
+        if not frames:
+            break
+        w, v = v, frames[-1]
+        k, e = pos[v], arc[v]
+        ES.append(TA[w])
+
+        # type-2 separation pairs
+        while v != 1:
+            _h, a_, b_ = TS[-1]
+            deg2 = DEG[w] == 2 and first_target(w) > w
+            if a_ != v and not deg2:
+                break
+            if a_ == v and FA[b_] == v:
+                TS.pop()
+                continue
+            e_ab = -1
+            if deg2:
+                e1, e2 = ES.pop(), ES.pop()
+                ADJ[w][in_adj[e2]] = -1
+                x = tgt[e2]
+                ev = new_edge(v, x)
+                DEG[x] -= 1
+                DEG[v] -= 1
+                found.append((False, [e1, e2, ev]))
+                if ES and src[ES[-1]] == x and tgt[ES[-1]] == v:
+                    e_ab = ES.pop()
+                    ADJ[x][in_adj[e_ab]] = -1
+                    in_high[e_ab] = False
+            else:
+                h = TS.pop()[0]
+                comp = []
+                while True:
+                    xy = ES[-1]
+                    x, y = src[xy], tgt[xy]
+                    if not (a_ <= x <= h and a_ <= y <= h):
+                        break
+                    ES.pop()
+                    if (x == a_ and y == b_) or (y == a_ and x == b_):
+                        e_ab = xy
+                        ADJ[x][in_adj[xy]] = -1
+                        in_high[xy] = False
+                        continue
+                    if xy != ADJ[v][k]:
+                        ADJ[x][in_adj[xy]] = -1
+                        in_high[xy] = False
+                    comp.append(xy)
+                    DEG[x] -= 1
+                    DEG[y] -= 1
+                ev = new_edge(v, b_)
+                comp.append(ev)
+                found.append((False, comp))
+                x = b_
+            if e_ab >= 0:
+                ev2 = new_edge(v, x)
+                found.append((True, [e_ab, ev, ev2]))
+                ev = ev2
+                DEG[x] -= 1
+                DEG[v] -= 1
+            ES.append(ev)
+            ADJ[v][k], in_adj[ev] = ev, k
+            DEG[x] += 1
+            DEG[v] += 1
+            FA[x], TA[x], etype[ev] = v, ev, 1
+            w = x
+
+        # type-1 separation pair
+        lw = L1[w]
+        if L2[w] >= v and lw < v and (FA[v] != 1 or outv[v] >= 2):
+            comp = []
+            end = w + ND[w]
+            while ES:
+                xy = ES[-1]
+                x, y = src[xy], tgt[xy]
+                if not (w <= x < end or w <= y < end):
+                    break
+                ES.pop()
+                comp.append(xy)
+                in_high[xy] = False
+                DEG[x] -= 1
+                DEG[y] -= 1
+            ev = new_edge(v, lw)
+            comp.append(ev)
+            found.append((False, comp))
+            if ES and src[ES[-1]] == v and tgt[ES[-1]] == lw:
+                e_ab = ES.pop()
+                ADJ[v][in_adj[e_ab]] = -1
+                in_high[e_ab] = False
+                ev2 = new_edge(v, lw)
+                found.append((True, [e_ab, ev, ev2]))
+                ev = ev2
+                DEG[v] -= 1
+                DEG[lw] -= 1
+            if lw != FA[v]:
+                ES.append(ev)
+                ADJ[v][k], in_adj[ev], etype[ev] = ev, k, 2
+                if high(lw) < v:
+                    hp_front[lw].append(ev)
+                    in_high[ev] = True
+                DEG[v] += 1
+                DEG[lw] += 1
+            else:
+                ADJ[v][k] = -1
+                ev2 = new_edge(lw, v)
+                eh = TA[v]
+                found.append((True, [ev, ev2, eh]))
+                TA[v], etype[ev2] = ev2, 1
+                in_adj[ev2] = in_adj[eh]
+                ADJ[lw][in_adj[eh]] = ev2
+
+        if starts[e]:
+            while TS.pop()[1] != -1:
+                pass
+        hv = high(v)
+        while TS[-1][1] != -1 and TS[-1][2] != v and hv > TS[-1][0]:
+            TS.pop()
+        outv[v] -= 1
+        pos[v] = k + 1
+    if ES:
+        found.append((False, ES))
+
+    # merge adjacent bonds and adjacent polygons, then label
+    def ends(e: int) -> tuple[int, int]:
+        if e < m:
+            return edges[e][0], edges[e][1]
+        a, b = node_at[src[e]], node_at[tgt[e]]
+        return (a, b) if a < b else (b, a)
+
+    comps = []
+    holder: dict[int, list[int]] = {}
+    for ci, (bond, es) in enumerate(found):
+        nodes = {x for e in es for x in ends(e)}
+        comps.append(("P" if bond else "S" if len(nodes) == len(es) else "R",
+                      nodes, es))
+        for e in es:
+            if e >= m:
+                holder.setdefault(e, []).append(ci)
+    merged = {e for e, cs in holder.items() if len(cs) == 2
+              and comps[cs[0]][0] == comps[cs[1]][0] != "R"}
+    out = []
+    for group in disjoint_sets(len(comps), [holder[e] for e in merged]):
+        tagged = []
+        for ci in group:
+            for e in comps[ci][2]:
+                if e < m:
+                    u, v, w = edges[e]
+                    tagged.append((u, v, ("orig", e, w)))
+                elif e not in merged:
+                    tagged.append((*ends(e), ("virt", e)))
+        out.append((comps[group[0]][0],
+                    sorted(set().union(*(comps[ci][1] for ci in group))),
+                    tagged))
+    return out
+
+
+def _skeleton_order(edge: tuple[int, int, tuple]) -> tuple[bool, int]:
+    """Edge order of a skeleton: originals by index, then virtuals by id."""
+    return edge[2][0] != "orig", edge[2][1]
+
+
+def _build_tree(edges, comps: list[tuple]
+                ) -> tuple[SprTree, dict[int, RClass]]:
+    """The SPR-tree of the components of a multigraph with the given
+    edges, certified, and the class of each R skeleton.
+
+    Ids are canonical, so the tree does not depend on the order in which
+    the components were found: node ids by (smallest original ref, kind,
+    nodes, edge pairs), pair ids by (sorted node pair, sorted pair of the
+    two node ids).  So a skeleton's virtual edges, in pair-id order, are
+    in node-pair order, which its embedding reads."""
     def sort_key(comp):
-        kind, nodes, edges, _cuts = comp
-        origs = sorted(t[1] for _u, _v, t in edges if t[0] == "orig")
-        return (origs[0] if origs else len(g.edges), kind, tuple(nodes),
-                sorted((min(u, v), max(u, v)) for u, v, _t in edges))
+        kind, nodes, tagged = comp
+        origs = [t[1] for _u, _v, t in tagged if t[0] == "orig"]
+        return (min(origs, default=len(edges)), kind, tuple(nodes),
+                sorted((min(u, v), max(u, v)) for u, v, _t in tagged))
 
     comps = sorted(comps, key=sort_key)
     owner: dict[int, list[int]] = {}
-    ends: dict[int, tuple[int, int]] = {}
-    for i, (_kind, _nodes, edges, _cuts) in enumerate(comps):
-        for u, v, t in edges:
+    ends: dict[int, set[tuple[int, int]]] = {}
+    for i, (_kind, _nodes, tagged) in enumerate(comps):
+        for u, v, t in tagged:
             if t[0] == "virt":
                 owner.setdefault(t[1], []).append(i)
-                ends[t[1]] = (min(u, v), max(u, v))
-    for cs in owner.values():
-        _check_pair(cs)
+                ends.setdefault(t[1], set()).add((min(u, v), max(u, v)))
+    if any(len(cs) != 2 or len(ends[pid]) != 1 for pid, cs in owner.items()):
+        raise CertificationError(
+            "virtual pair id must occur in exactly two skeletons")
     canon = {pid: k for k, pid in enumerate(sorted(
-        owner, key=lambda pid: (ends[pid], sorted(owner[pid]))))}
+        owner, key=lambda pid: (min(ends[pid]), sorted(owner[pid]))))}
     skel_nodes = []
-    for i, (kind, nodes, edges, cuts) in enumerate(comps):
+    for i, (kind, nodes, tagged) in enumerate(comps):
         skel_edges = []
         for u, v, t in sorted(((u, v, t if t[0] == "orig"
                                 else ("virt", canon[t[1]]))
-                               for u, v, t in edges), key=_skeleton_order):
-            if t[0] == "orig":
-                skel_edges.append(SkelEdge(u, v, "orig", t[1], t[2]))
-            else:
-                skel_edges.append(SkelEdge(u, v, "virt", t[1], 0))
-        # re-derive and check the kind (on the component's own sweep and
-        # embedding)
-        check = _classify(list(nodes), [(e.u, e.v, None) for e in skel_edges],
-                          cuts)
-        if check != kind:
-            raise CertificationError(f"skeleton kind drift: {check} != {kind}")
-        skel_nodes.append(SkeletonNode(i, kind, tuple(nodes), tuple(skel_edges)))
-    tree_edges = []
-    for pid in sorted(owner, key=canon.__getitem__):
-        a, b = sorted(owner[pid])
-        if skel_nodes[a].kind == skel_nodes[b].kind in ("S", "P"):
-            raise CertificationError("same-kind adjacency")
-        tree_edges.append((a, b, canon[pid]))
+                               for u, v, t in tagged), key=_skeleton_order):
+            skel_edges.append(SkelEdge(u, v, "orig", t[1], t[2])
+                              if t[0] == "orig" else
+                              SkelEdge(u, v, "virt", t[1], 0))
+        sn = SkeletonNode(i, kind, tuple(nodes), tuple(skel_edges))
+        _check_shape(sn)
+        skel_nodes.append(sn)
+    tree_edges = [(*sorted(owner[pid]), canon[pid])
+                  for pid in sorted(owner, key=canon.__getitem__)]
+    if len(tree_edges) != len(skel_nodes) - 1 or len(disjoint_sets(
+            len(skel_nodes), [te[:2] for te in tree_edges])) != 1:
+        raise CertificationError("skeletons must form a tree")
+    if any(skel_nodes[a].kind == skel_nodes[b].kind in ("S", "P")
+           for a, b, _pid in tree_edges):
+        raise CertificationError("same-kind adjacency")
+    if sorted((e.ref, e.u, e.v, e.weight) for sn in skel_nodes
+              for e in sn.originals()) != [
+                  (i, u, v, w) for i, (u, v, w) in enumerate(edges)]:
+        raise CertificationError("skeletons must recompose the input")
     return (SprTree(tuple(skel_nodes), tuple(tree_edges)),
-            tuple(cuts for _k, _n, _e, cuts in comps))
+            {sn.id: _r_class(sn)
+             for sn in skel_nodes if sn.kind == "R"})
 
 
-def _check_pair(owners: list[int]) -> None:
-    if len(owners) != 2:
-        raise CertificationError(
-            "virtual pair id must occur in exactly two skeletons")
+def _check_shape(sn: SkeletonNode) -> None:
+    """P: two nodes, >= 3 edges; S: a cycle on >= 3 nodes; R: simple on
+    >= 4 nodes (its 3-connectivity is certified by `_r_class`)."""
+    n, m = len(sn.nodes), len(sn.edges)
+    simple = len({e.endpoints() for e in sn.edges}) == m
+    degree = Counter(x for e in sn.edges for x in (e.u, e.v))
+    if sorted(degree) != list(sn.nodes):
+        ok = False
+    elif sn.kind == "P":
+        ok = n == 2 and m >= 3
+    elif sn.kind == "S":
+        ok = (n == m >= 3 and simple and set(degree.values()) == {2}
+              and len(set(_cycle_order(sn))) == n)
+    else:
+        ok = sn.kind == "R" and n >= 4 and simple
+    if not ok:
+        raise CertificationError(f"{sn.kind} skeleton of the wrong shape")
 
 
 def recompose(t: SprTree, node_count: int) -> Graph:
@@ -400,23 +688,6 @@ def _skeleton_graph(sn: SkeletonNode) -> tuple[Graph, dict[int, int]]:
     return compact_graph(sn.nodes, [(e.u, e.v, e.weight) for e in sn.edges])
 
 
-def _classify_r_skeleton(sn: SkeletonNode, sweep: _Sweep
-                         ) -> tuple[str, planar_mod.Embedding | None]:
-    """Class of an R skeleton, with the embedding of `_skeleton_graph(sn)`
-    that shows it planar (None for K5 and non-planar skeletons).  The
-    embedding is the one its component's shape certificate built, if it
-    built one."""
-    n, m = len(sn.nodes), len(sn.edges)
-    if n == 5 and m == 10:
-        return "K5", None
-    emb = sweep.embedding
-    if emb is None:
-        return "NonPlanar", None
-    if m == 3 * n - 6:
-        return "PlanarTriangulation", emb
-    return "Planar", emb
-
-
 @dataclass(frozen=True)
 class Block:
     """One block of a graph, decomposed once for every consumer.
@@ -424,13 +695,14 @@ class Block:
     `graph` is the block on nodes 0..k-1: its node i is node `nodes[i]` of
     the graph and its edge j is edge `edges[j]`.  `tree` is its SPR-tree
     (None for a single-edge block) and `r_skeletons` maps each R skeleton
-    id to `_classify_r_skeleton`'s class and embedding.
+    id to its class and the embedding of `_skeleton_graph` of it that
+    shows it planar (None for K5 and non-planar skeletons).
     """
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
     graph: Graph
     tree: SprTree | None
-    r_skeletons: dict[int, tuple[str, planar_mod.Embedding | None]]
+    r_skeletons: dict[int, RClass]
 
     def relabel(self, sn: SkeletonNode) -> SkeletonNode:
         """Skeleton `sn` of the tree in the graph's node labels and edge
@@ -459,9 +731,7 @@ def decompose_blocks(g: Graph) -> tuple[Block, ...]:
         nodes = tuple(sorted(bnodes))
         sub, _ = compact_graph(nodes, [g.edges[i] for i in bedges])
         # a block of >= 3 edges is 2-connected, so it skips spr_tree's check
-        tree, sweeps = _spr_tree(sub) if len(bedges) >= 3 else (None, ())
-        r_skeletons = {sn.id: _classify_r_skeleton(sn, sweeps[sn.id])
-                       for sn in (tree.nodes if tree else ()) if sn.kind == "R"}
+        tree, r_skeletons = _spr_tree(sub) if len(bedges) >= 3 else (None, {})
         out.append(Block(nodes, bedges, sub, tree, r_skeletons))
     return tuple(out)
 
@@ -515,21 +785,30 @@ def maximal_completion(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     """Extend a connected K33-minor-free graph to a maximal one.
 
     Blocks are first joined at cut nodes, one edge at a time, until the
-    graph is 2-connected.  The rest is added in one pass over the SPR-tree
-    of that block (`_completion`), in this order: the pair of every P
-    skeleton without an original edge and the pair of every tree edge
-    between two non-P skeletons (`augment_with_parallel_originals`);
-    then, skeleton by skeleton in tree order, a fan from the minimum node
-    of every S cycle with >= 4 nodes, and a fan from the first node of
-    every face longer than 3 of every planar R skeleton.  Returns the completed graph and the list of added node
-    pairs, in insertion order.
+    graph is 2-connected: at the smallest cut node c, the edge w1w2
+    between c's smallest neighbours in its first two blocks.  The rest is
+    added in one pass over the SPR-tree of that block (`_completion`), in
+    this order: the pair of every P skeleton without an original edge and
+    the pair of every tree edge between two non-P skeletons
+    (`augment_with_parallel_originals`); then, skeleton by skeleton in
+    tree order, a fan from the minimum node of every S cycle with >= 4
+    nodes, and a fan from the first node of every face longer than 3 of
+    every planar R skeleton.  Returns the completed graph and the list of
+    added node pairs, in insertion order.
+
+    The joined graph is decomposed once, and the K33 test reads that
+    decomposition, because joining keeps K33-minor-freeness either way.
+    With B1 and B2 the blocks at c that hold the edges cw1 and cw2, the
+    new block B1 + B2 + w1w2 is the 2-sum of B1 with the triangle
+    c w1 w2 along cw1, then with B2 along cw2, each sum keeping its
+    edge.  A 2-sum along a real edge joins the two SPR-trees through a P
+    skeleton, and turns at most one original edge of an R skeleton
+    virtual; the triangle adds only an S skeleton.  So the R skeletons of
+    the joined graph are those of g, as graphs, and a graph has a K33
+    minor exactly when one of its R skeletons is non-planar and not K5.
     """
     if not is_connected(g):
         raise GraphError("maximal_completion needs a connected graph")
-    decomposition = decompose_blocks(g)
-    witness = _first_witness(decomposition)
-    if witness is not None:
-        raise K33MinorError("input has a K33 minor", witness)
     h = g
     added: list[tuple[int, int]] = []
     while (bd := blocks(h)).cut_nodes:
@@ -539,8 +818,10 @@ def maximal_completion(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
                   for bnodes, bedges in bd.blocks if c in bnodes][:2]
         h = h.with_edge(w1, w2, 0)
         added.append((min(w1, w2), max(w1, w2)))
-    if added:
-        decomposition = decompose_blocks(h)
+    decomposition = decompose_blocks(h)
+    witness = _first_witness(decomposition)
+    if witness is not None:
+        raise K33MinorError("input has a K33 minor", witness)
     if decomposition and decomposition[0].tree:
         (block,) = decomposition
         more = [(block.nodes[u], block.nodes[v])

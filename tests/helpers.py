@@ -122,6 +122,27 @@ def random_2connected(seed: int, nmax: int = 10) -> Graph | None:
 
 
 @functools.cache
+def shape_corpus() -> tuple[Graph, ...]:
+    """Strict and non-strict chains of 1-8 pieces, thinned or not, and
+    stacked triangulations with n <= 80."""
+    chains = [gen_k33free(GeneratorSpec(
+        seed=s, component_count=1 + s % 8,
+        kinds=(("k5", "triangulation"), ("k5",), ("triangulation",))[s % 3],
+        tri_size=(4, 4 + s % 9), strict=s % 4 > 0,
+        deletion_prob=((s // 4) % 2, 5))) for s in range(300)]
+    return tuple(chains + [stacked_triangulation(n, random.Random(n))
+                           for n in range(4, 81, 4)])
+
+
+def triangulation(n: int, thinned: bool) -> Graph:
+    """`cutpoly gen --kinds triangulation --tri-size n` (seed 1), with
+    `--delete-prob 1/10` when thinned."""
+    return gen_k33free(GeneratorSpec(
+        seed=1, component_count=1, kinds=("triangulation",),
+        tri_size=(n, n), deletion_prob=(int(thinned), 10)))
+
+
+@functools.cache
 def perfbench_module(name: str):
     """`perfbench/<name>.py`, loaded as the module `perfbench_<name>`."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

@@ -230,27 +230,55 @@ def test_facets_same_without_asserts(tmp_path, capsys):
         assert optimized.stdout == plain
 
 
-# _build_tree re-derives each skeleton's kind from its untagged edges; the
-# patched _classify reports an R skeleton as a cycle there
-KIND_DRIFT = """
-from cutpoly import CertificationError, Graph, spqr
-real = spqr._classify
-def drifting(nodes, edges, cuts):
-    kind = real(nodes, edges, cuts)
-    return "S" if kind == "R" and edges[0][2] is None else kind
-spqr._classify = drifting
-try:
-    spqr.spr_tree(Graph(5, [(u, v, 1) for u in range(5) for v in range(u)]))
-except CertificationError as exc:
-    print(exc)
+# each certificate of an SPR tree, broken by a pass that hands back wrong
+# components: an original edge with another weight, a pair id held once,
+# a K5 called a cycle, a 5-cycle called R, two skeletons joined by two
+# pairs, and two adjacent cycles
+SPR_CHECKS = """
+from cutpoly import CertificationError, spqr
+c5 = [(i, (i + 1) % 5, 1) for i in range(5)]
+k5 = [(u, v, 1) for u in range(5) for v in range(u + 1, 5)]
+bond = [(0, 1, w) for w in range(4)]
+
+def orig(edges, *ids):
+    return [(edges[i][0], edges[i][1], ("orig", i, edges[i][2])) for i in ids]
+
+def virt(u, v, pid):
+    return u, v, ("virt", pid)
+
+def two_cycles(pid_a, pid_b):
+    return [("S", [0, 1, 2], orig(c5, 0, 1) + [virt(0, 2, pid_a)]),
+            ("S", [0, 2, 3, 4], orig(c5, 2, 3, 4) + [virt(0, 2, pid_b)])]
+
+cases = [
+    (c5, [("S", [0, 1, 2, 3, 4], orig(c5, 0, 1, 2, 3) + [(4, 0, ("orig", 4, 2))])]),
+    (c5, two_cycles(7, 8)),
+    (k5, [("S", [0, 1, 2, 3, 4], orig(k5, *range(10)))]),
+    (c5, [("R", [0, 1, 2, 3, 4], orig(c5, *range(5)))]),
+    (bond, [("P", [0, 1], orig(bond, 0, 1) + [virt(0, 1, 7), virt(0, 1, 8)]),
+            ("P", [0, 1], orig(bond, 2, 3) + [virt(0, 1, 7), virt(0, 1, 8)])]),
+    (c5, two_cycles(7, 7)),
+]
+for edges, comps in cases:
+    spqr._triconnected_components = lambda n, e, comps=comps: comps
+    try:
+        spqr._tree(len({x for e in edges for x in e[:2]}), edges)
+    except CertificationError as exc:
+        print(exc)
 """
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
-def test_kind_drift_raises_without_asserts(flags):
-    proc = run_python(*flags, "-c", KIND_DRIFT)
+def test_spr_checks_raise_without_asserts(flags):
+    proc = run_python(*flags, "-c", SPR_CHECKS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "skeleton kind drift: S != R\n"
+    assert proc.stdout.splitlines() == [
+        "skeletons must recompose the input",
+        "virtual pair id must occur in exactly two skeletons",
+        "S skeleton of the wrong shape",
+        "R skeleton is not 3-connected",
+        "skeletons must form a tree",
+        "same-kind adjacency"]
 
 
 # the invariants of the MaxCut leaf elimination that its witness replay

@@ -9,10 +9,13 @@ import random
 
 import pytest
 
-from cutpoly import GeneratorSpec, Graph, gen_k33free, is_k_connected, spr_tree
+import frozen_spqr
+from cutpoly import (GeneratorSpec, Graph, decompose_blocks, gen_k33free,
+                     is_k_connected, spqr)
 from cutpoly.graphs import masked_cut_nodes
 from cutpoly.spqr import _skeleton_graph
-from helpers import complete, cycle, path, random_2connected
+from helpers import (complete, cycle, path, random_2connected, shape_corpus,
+                     triangulation)
 
 nx = pytest.importorskip("networkx")
 
@@ -65,19 +68,75 @@ def test_is_k_connected_matches_networkx():
     assert all(no > 0 and yes > 0 for no, yes in seen.values()), seen
 
 
+def tree_corpus():
+    """(node count, edges, tree, R classes) of every tree the SPR test
+    reads: the blocks of CORPUS, of `shape_corpus()` and of `generated()`,
+    of thinned stacked triangulations up to n = 160 and of plain ones up
+    to n = 640, each as `decompose_blocks` builds it; and multigraphs,
+    built by `spqr._tree`: every third CORPUS block with every fourth edge
+    doubled, a bond and a doubled K4."""
+    graphs = [*CORPUS, *shape_corpus(), *generated(),
+              *(triangulation(n, True) for n in (20, 40, 80, 160)),
+              *(triangulation(n, False) for n in (160, 320, 640))]
+    out = []
+    for g in graphs:
+        for b in decompose_blocks(g):
+            if b.tree is not None:
+                out.append((b.graph.node_count, b.graph.edges, b.tree,
+                            b.r_skeletons))
+    multi = [(g.node_count, g.edges + tuple((v, u, w + 1) for u, v, w
+                                            in g.edges[::4]))
+             for g in CORPUS[::3]
+             if len(g.edges) >= 3 and is_k_connected(g, 2)]
+    multi += [(2, ((0, 1, 1), (1, 0, 2), (0, 1, 3), (0, 1, 4))),
+              (4, complete(4).edges * 2)]
+    out += [(n, edges, *spqr._tree(n, edges)) for n, edges in multi]
+    return out
+
+
 def test_spr_r_skeletons_are_3_connected_per_networkx():
-    r_count = 0
-    for g in CORPUS:
-        if len(g.edges) < 3 or not is_k_connected(g, 2):
-            continue
-        for sn in spr_tree(g).nodes:
-            if sn.kind != "R":
+    """Every tree is `repr`-identical to the frozen split-search builder;
+    every R skeleton is 3-connected per networkx (one with more than 120
+    nodes may instead be triangulation-shaped and planar per networkx:
+    maximal planar, so 3-connected by Whitney), and carries an embedding
+    of its skeleton graph exactly when it is planar and not K5; every S
+    skeleton is a cycle per networkx."""
+    counts = {"trees": 0, "multi": 0, "R": 0, "S": 0, "K5": 0,
+              "PlanarTriangulation": 0, "Planar": 0, "NonPlanar": 0}
+    proved = set()  # R skeleton graphs already found 3-connected
+    for n, edges, tree, r_skeletons in tree_corpus():
+        assert repr(tree) == repr(frozen_spqr.tree(n, edges)), edges
+        counts["trees"] += 1
+        counts["multi"] += len(set(frozenset(e[:2]) for e in edges)) \
+            < len(edges)
+        for sn in tree.nodes:
+            if sn.kind == "P":
                 continue
+            counts[sn.kind] += 1
             sg, _ = _skeleton_graph(sn)
+            h = to_nx(sg)
+            if sn.kind == "S":
+                assert nx.is_connected(h) and {d for _v, d in h.degree()} \
+                    == {2}, sn
+                continue
             assert sg.node_count >= 4
-            assert nx.node_connectivity(to_nx(sg)) >= 3, sn
-            r_count += 1
-    assert r_count >= 50
+            shape = frozenset(e[:2] for e in sg.edges)
+            if shape in proved:
+                pass
+            elif sg.node_count > 120 and len(shape) == 3 * len(h) - 6:
+                assert nx.check_planarity(h)[0], sn
+            else:
+                assert nx.node_connectivity(h) >= 3, sn
+            proved.add(shape)
+            cls, emb = r_skeletons[sn.id]
+            counts[cls] += 1
+            if emb is None:
+                assert cls in ("K5", "NonPlanar")
+                assert cls == "NonPlanar" or len(sg.edges) == 10
+            else:
+                assert emb.graph == sg
+    assert counts["trees"] >= 700 and counts["multi"] >= 30, counts
+    assert min(counts.values()) >= 10, counts
 
 
 def generated() -> list[Graph]:

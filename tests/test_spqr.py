@@ -1,19 +1,19 @@
 import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-import frozen_classify
 from cutpoly import (GeneratorSpec, Graph, K33MinorError,
                      NotTwoConnectedError, augment_with_parallel_originals,
-                     decompose_blocks, facet_description, format_graph,
-                     gen_k33free, has_minor, is_k_connected, k33_decompose,
-                     maxcut, maximal_completion, minor_exhaustive,
-                     planar_embed, recompose, spqr, spr_tree)
-from cutpoly.cli import main
-from cutpoly.spqr import _skeleton_graph
+                     blocks, decompose_blocks, facet_description,
+                     gen_k33free, has_minor, is_connected, is_k_connected,
+                     k33_decompose, maxcut, maximal_completion,
+                     minor_exhaustive, recompose, spqr, spr_tree)
+from cutpoly.spqr import _completion, _skeleton_graph
 from helpers import (complete, cycle, double_k5, k33, octahedron, path,
-                     random_2connected, random_graph, stacked_triangulation)
+                     random_2connected, random_graph, shape_corpus)
 
 
 def test_spr_k5_single_r():
@@ -259,63 +259,77 @@ def test_witness_shared_by_every_consumer():
         assert info.value.witness == witness
 
 
-# -- shape certificates -------------------------------------------------------
+def completion_checking_blocks_first(g: Graph):
+    """`maximal_completion` as it stood before it joined the blocks
+    first: each block decomposed for the K33 test, then the joined graph
+    decomposed again."""
+    if any(b.witness for b in decompose_blocks(g)):
+        raise K33MinorError("input has a K33 minor")
+    h, added = g, []
+    while (bd := blocks(h)).cut_nodes:
+        c = min(bd.cut_nodes)
+        w1, w2 = [min(u + v - c for u, v, _w in (h.edges[i] for i in bedges)
+                      if c in (u, v))
+                  for bnodes, bedges in bd.blocks if c in bnodes][:2]
+        h = h.with_edge(w1, w2, 0)
+        added.append((min(w1, w2), max(w1, w2)))
+    decomposition = decompose_blocks(h)
+    if decomposition and decomposition[0].tree:
+        (block,) = decomposition
+        more = [(block.nodes[u], block.nodes[v])
+                for u, v in _completion(block)[0]]
+        h = Graph(h.node_count, list(h.edges) + [(u, v, 0) for u, v in more])
+        added += more
+    return h, added
 
-def shape_corpus() -> list[Graph]:
-    """Strict and non-strict chains of 1-8 pieces, thinned or not, and
-    stacked triangulations with n <= 80."""
-    chains = [gen_k33free(GeneratorSpec(
-        seed=s, component_count=1 + s % 8,
-        kinds=(("k5", "triangulation"), ("k5",), ("triangulation",))[s % 3],
-        tri_size=(4, 4 + s % 9), strict=s % 4 > 0,
-        deletion_prob=((s // 4) % 2, 5))) for s in range(300)]
-    return chains + [stacked_triangulation(n, random.Random(n))
-                     for n in range(4, 81, 4)]
+
+def test_completion_decomposes_once(monkeypatch):
+    """Two K5s sharing node 4 are joined first and decomposed once; on
+    generated graphs the completion equals the one that checked every
+    block first; and a K33 with a pendant block is refused, with the K33
+    as the witness."""
+    k5s = Graph(9, [(u, v, 1) for part in (range(5), range(4, 9))
+                    for u, v in itertools.combinations(part, 2)])
+    trees = []
+    real = spqr._spr_tree
+
+    def count(h):
+        trees.append(h)
+        return real(h)
+
+    monkeypatch.setattr(spqr, "_spr_tree", count)
+    h, added = maximal_completion(k5s)
+    monkeypatch.undo()
+    assert len(trees) == 1 and added == [(0, 5)]
+    assert (h, added) == completion_checking_blocks_first(k5s)
+    joined = 0
+    for g in shape_corpus()[::3]:
+        if not is_connected(g):
+            continue
+        want = completion_checking_blocks_first(g)
+        assert maximal_completion(g) == want
+        joined += len(blocks(g).blocks) > 1
+    assert joined >= 20
+    pendant = Graph(7, list(k33().edges) + [(0, 6, 1)])
+    with pytest.raises(K33MinorError) as info:
+        maximal_completion(pendant)
+    assert info.value.witness.nodes == (0, 1, 2, 3, 4, 5)
 
 
-def test_shape_certified_skeletons_are_3_connected(tmp_path, capsys,
-                                                   monkeypatch):
-    """Every component certified R by its shape is an R skeleton, is
-    3-connected, and carries the very rotation of a fresh embedding of
-    its skeleton graph; and `cutpoly decompose` prints what it printed
-    with the sweep-only test (`frozen_classify`) in place."""
-    certified = []
-    real = spqr._shape_certified
-
-    def record(n, m, cuts):
-        ok = real(n, m, cuts)
-        if ok:
-            certified.append(tuple(cuts.nodes))
-        return ok
-
-    corpus = shape_corpus()
-    assert len(corpus) >= 300
-    checked = {"K5": 0, "PlanarTriangulation": 0}
-    for k, g in enumerate(corpus):
-        f = tmp_path / f"g{k}.cut"
-        f.write_text(format_graph(g))
-        monkeypatch.setattr(spqr, "_shape_certified", record)
-        certified.clear()
-        printed = main(["decompose", str(f)]), capsys.readouterr().out
-        blocks_ = decompose_blocks(g)
-        monkeypatch.setattr(spqr, "_classify", frozen_classify.classify)
-        assert (main(["decompose", str(f)]), capsys.readouterr().out) \
-            == printed
-        monkeypatch.undo()
-        r_nodes = {sn.nodes for b in blocks_ if b.tree
-                   for sn in b.tree.nodes if sn.kind == "R"}
-        assert set(certified) <= r_nodes
-        for b in blocks_:
-            for sid, (cls, emb) in b.r_skeletons.items():
-                sn = b.tree.node(sid)
-                if sn.nodes not in certified:
-                    continue
-                sg, _ = _skeleton_graph(sn)
-                assert is_k_connected(sg, 3)
-                if cls == "K5":
-                    assert emb is None
-                else:
-                    assert emb.graph == sg
-                    assert emb.rotation == planar_embed(sg).rotation
-                checked[cls] += 1
-    assert min(checked.values()) >= 100, checked
+def test_deep_chain_and_ladder_need_no_recursion():
+    """A 400-piece chain decomposes and solves, and a 1,500-rung ladder
+    (DFS depth about 3,000) decomposes, under the default recursion
+    limit: into 1,499 squares and the 1,498 inner rungs as P skeletons."""
+    assert sys.getrecursionlimit() <= 1000
+    g = gen_k33free(GeneratorSpec(seed=1, component_count=400))
+    (block,) = decompose_blocks(g)
+    assert sum(sn.kind == "R" for sn in block.tree.nodes) == 400
+    assert maxcut(g).value == 5496
+    k = 1500
+    ladder = Graph(2 * k, [(i, i + 1, 1) for i in range(k - 1)]
+                   + [(k + i, k + i + 1, 1) for i in range(k - 1)]
+                   + [(i, k + i, 1) for i in range(k)])
+    tree = spr_tree(ladder)
+    kinds = Counter(sn.kind for sn in tree.nodes)
+    assert kinds == {"S": k - 1, "P": k - 2}
+    assert recompose(tree, 2 * k) == ladder

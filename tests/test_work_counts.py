@@ -8,14 +8,15 @@ import random
 
 import pytest
 
-from cutpoly import (Graph, brute_hull, cut_vectors, decompose_blocks,
-                     dual_graph, is_k_connected, planar_embed, spr_tree)
+from cutpoly import (GeneratorSpec, Graph, brute_hull, cut_vectors,
+                     decompose_blocks, dual_graph, gen_k33free,
+                     is_k_connected, planar_embed, spr_tree)
 from cutpoly import graphs as graphs_mod
 from cutpoly import planar as planar_mod
 from cutpoly import polytope, spqr
 from cutpoly import tjoin as tjoin_mod
 from helpers import (complete, perfbench_module, stacked_triangulation,
-                     verify_small_pool)
+                     triangulation, verify_small_pool)
 
 SIZES = (24, 80)
 
@@ -51,17 +52,17 @@ def tree_work(monkeypatch, build, g):
 @pytest.mark.parametrize("n", SIZES)
 def test_spr_tree_of_triangulation_sweeps_once(n, monkeypatch):
     """A 3-connected stacked triangulation is one R skeleton, certified by
-    its shape: the tree costs one sweep of G to prove it 2-connected and
-    one embedding of the one Graph it builds (the embedding checks its
-    own input with one more sweep of G), and no sweep of any G-v, the
-    kind re-check included.  `decompose_blocks` proves 2-connectivity by
-    its block split instead and keeps the embedding."""
+    its shape without the triconnected-components pass: the tree costs
+    one sweep of G to prove it 2-connected and one embedding of G itself
+    (the embedding checks its own input with one more sweep of G), builds
+    no Graph and sweeps no G-v.  `decompose_blocks` proves
+    2-connectivity by its block split instead and keeps the embedding."""
     g = stacked_triangulation(n, random.Random(n))
     assert is_k_connected(g, 3)
     tree, work = tree_work(monkeypatch, spr_tree, g)
     assert [sn.kind for sn in tree.nodes] == ["R"]
     assert work["passes"] == [[None], [None]] and not work["blocks"]
-    assert len(work["graphs"]) == 1 and work["embeds"] == [g]
+    assert not work["graphs"] and work["embeds"] == [g]
     (block,), work = tree_work(monkeypatch, decompose_blocks, g)
     assert [sn.kind for sn in block.tree.nodes] == ["R"]
     assert work["passes"] == [[], [None]] and len(work["blocks"]) == 1
@@ -80,6 +81,34 @@ def test_spr_tree_of_k5_sweeps_no_g_minus_v(monkeypatch):
     (block,), work = tree_work(monkeypatch, decompose_blocks, g)
     assert block.r_skeletons == {0: ("K5", None)}
     assert work["passes"] == [[]] and not work["embeds"]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_pass_sweeps_only_uncertified_r_skeletons(n, monkeypatch):
+    """Blocks that are not one certified shape go through the
+    triconnected-components pass, which sweeps no G-v itself: a chain of
+    K5s and triangulations (every R skeleton certified by its shape)
+    sweeps none, and a thinned triangulation sweeps each G-v of exactly
+    the R skeletons that no shape certifies.  Every R skeleton but a K5
+    is embedded once."""
+    chain = gen_k33free(GeneratorSpec(seed=n, component_count=n // 8))
+    thinned = triangulation(n, thinned=True)
+    swept = 0
+    for g in (chain, thinned):
+        decomposition, work = tree_work(monkeypatch, decompose_blocks, g)
+        r_nodes = [(b, sn) for b in decomposition if b.tree
+                   for sn in b.tree.nodes if sn.kind == "R"]
+        uncertified = [sn for b, sn in r_nodes if b.r_skeletons[sn.id][0]
+                       not in ("K5", "PlanarTriangulation")]
+        masked = [mask for mask in work["passes"] if mask and mask != [None]]
+        assert len(masked) == sum(len(sn.nodes) for sn in uncertified)
+        assert len(work["embeds"]) == sum(b.r_skeletons[sn.id][0] != "K5"
+                                          for b, sn in r_nodes)
+        assert r_nodes
+        swept += len(masked)
+        if g is chain:
+            assert not masked
+    assert swept
 
 
 @pytest.mark.parametrize("n", SIZES)
