@@ -524,11 +524,6 @@ def _triconnected_components(node_count: int, edges) -> list[tuple]:
     return out
 
 
-def _skeleton_order(edge: tuple[int, int, tuple]) -> tuple[bool, int]:
-    """Edge order of a skeleton: originals by index, then virtuals by id."""
-    return edge[2][0] != "orig", edge[2][1]
-
-
 def _build_tree(edges, comps: list[tuple]
                 ) -> tuple[SprTree, dict[int, RClass]]:
     """The SPR-tree of the components of a multigraph with the given
@@ -560,13 +555,12 @@ def _build_tree(edges, comps: list[tuple]
         owner, key=lambda pid: (min(ends[pid]), sorted(owner[pid]))))}
     skel_nodes = []
     for i, (kind, nodes, tagged) in enumerate(comps):
-        skel_edges = []
-        for u, v, t in sorted(((u, v, t if t[0] == "orig"
-                                else ("virt", canon[t[1]]))
-                               for u, v, t in tagged), key=_skeleton_order):
-            skel_edges.append(SkelEdge(u, v, "orig", t[1], t[2])
-                              if t[0] == "orig" else
-                              SkelEdge(u, v, "virt", t[1], 0))
+        # originals by index, then virtuals by pair id
+        skel_edges = sorted((SkelEdge(u, v, "orig", t[1], t[2])
+                             if t[0] == "orig" else
+                             SkelEdge(u, v, "virt", canon[t[1]])
+                             for u, v, t in tagged),
+                            key=lambda e: (e.kind != "orig", e.ref))
         sn = SkeletonNode(i, kind, tuple(nodes), tuple(skel_edges))
         _check_shape(sn)
         skel_nodes.append(sn)
