@@ -5,6 +5,7 @@ flow computation and `articulation_points` its own DFS, sharing no code
 with the lowpoint sweep behind `is_k_connected` and the SPR tree.
 """
 
+import functools
 import random
 
 import pytest
@@ -139,19 +140,20 @@ def test_spr_r_skeletons_are_3_connected_per_networkx():
     assert min(counts.values()) >= 10, counts
 
 
-def generated() -> list[Graph]:
+@functools.cache
+def generated() -> tuple[Graph, ...]:
     """Generated K33-minor-free graphs: strict and not, thinned and not."""
-    return [gen_k33free(GeneratorSpec(seed=s, component_count=1 + s % 4,
-                                      strict=s % 3 > 0,
-                                      deletion_prob=(s % 2, 3)))
-            for s in range(40)]
+    return tuple(gen_k33free(GeneratorSpec(seed=s, component_count=1 + s % 4,
+                                           strict=s % 3 > 0,
+                                           deletion_prob=(s % 2, 3)))
+                 for s in range(40))
 
 
 def test_masked_sweep_matches_articulation_points():
     """For G and for every G-v, the sweep's cut nodes and connectivity
     verdict equal networkx's."""
     checked = 0
-    for g in CORPUS + generated():
+    for g in CORPUS + list(generated()):
         adj = [g.neighbors(x) for x in range(g.node_count)]
         h = to_nx(g)
         for v in [None, *range(g.node_count)]:

@@ -8,7 +8,7 @@ import pytest
 from cutpoly import (GeneratorSpec, Graph, K33MinorError,
                      NotTwoConnectedError, augment_with_parallel_originals,
                      blocks, decompose_blocks, facet_description,
-                     gen_k33free, has_minor, is_connected, is_k_connected,
+                     gen_k33free, has_minor, is_k_connected,
                      k33_decompose, maxcut, maximal_completion,
                      minor_exhaustive, recompose, spqr, spr_tree)
 from cutpoly.spqr import _completion, _skeleton_graph
@@ -303,13 +303,10 @@ def test_completion_decomposes_once(monkeypatch):
     assert len(trees) == 1 and added == [(0, 5)]
     assert (h, added) == completion_checking_blocks_first(k5s)
     joined = 0
-    for g in shape_corpus()[::3]:
-        if not is_connected(g):
-            continue
-        want = completion_checking_blocks_first(g)
-        assert maximal_completion(g) == want
+    for g in shape_corpus()[::6]:
+        assert maximal_completion(g) == completion_checking_blocks_first(g)
         joined += len(blocks(g).blocks) > 1
-    assert joined >= 20
+    assert joined >= 10
     pendant = Graph(7, list(k33().edges) + [(0, 6, 1)])
     with pytest.raises(K33MinorError) as info:
         maximal_completion(pendant)
