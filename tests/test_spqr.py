@@ -11,6 +11,7 @@ from cutpoly import (GeneratorSpec, Graph, K33MinorError,
                      gen_k33free, has_minor, is_k_connected,
                      k33_decompose, maxcut, maximal_completion,
                      minor_exhaustive, recompose, spqr, spr_tree)
+from cutpoly.maxcut import _decomposed_maxcut
 from cutpoly.spqr import _completion, _skeleton_graph
 from helpers import (complete, cycle, double_k5, k33, octahedron, path,
                      random_2connected, random_graph, shape_corpus)
@@ -319,9 +320,10 @@ def test_deep_chain_and_ladder_need_no_recursion():
     limit: into 1,499 squares and the 1,498 inner rungs as P skeletons."""
     assert sys.getrecursionlimit() <= 1000
     g = gen_k33free(GeneratorSpec(seed=1, component_count=400))
-    (block,) = decompose_blocks(g)
+    decomposition = decompose_blocks(g)
+    (block,) = decomposition
     assert sum(sn.kind == "R" for sn in block.tree.nodes) == 400
-    assert maxcut(g).value == 5496
+    assert _decomposed_maxcut(g, decomposition).value == 5496
     k = 1500
     ladder = Graph(2 * k, [(i, i + 1, 1) for i in range(k - 1)]
                    + [(k + i, k + i + 1, 1) for i in range(k - 1)]
