@@ -5,12 +5,15 @@ from collections import Counter
 
 import pytest
 
+import frozen_spqr
 from cutpoly import (GeneratorSpec, Graph, K33MinorError,
                      NotTwoConnectedError, augment_with_parallel_originals,
                      blocks, decompose_blocks, facet_description,
-                     gen_k33free, has_minor, is_k_connected,
+                     format_graph, gen_k33free, has_minor, is_k_connected,
                      k33_decompose, maxcut, maximal_completion,
-                     minor_exhaustive, recompose, spqr, spr_tree)
+                     minor_exhaustive, planar_embed, recompose, spqr,
+                     spr_tree)
+from cutpoly.cli import main
 from cutpoly.maxcut import _decomposed_maxcut
 from cutpoly.spqr import _completion, _skeleton_graph
 from helpers import (complete, cycle, double_k5, k33, octahedron, path,
@@ -258,6 +261,78 @@ def test_witness_shared_by_every_consumer():
         with pytest.raises(K33MinorError) as info:
             solve(g)
         assert info.value.witness == witness
+
+
+# -- shape certificates -------------------------------------------------------
+
+def sweep_only_spr_tree(g: Graph):
+    """`spqr._spr_tree` with no shape certificate: the frozen split-search
+    tree, each R skeleton checked 3-connected by the sweep and classed by
+    its shape and a fresh embedding."""
+    tree = frozen_spqr.tree(g.node_count, g.edges)
+    classes = {}
+    for sn in tree.nodes:
+        if sn.kind != "R":
+            continue
+        sg, _ = _skeleton_graph(sn)
+        n, m = sg.node_count, len(sg.edges)
+        assert is_k_connected(sg, 3)
+        emb = planar_embed(sg)
+        classes[sn.id] = (("K5", None) if (n, m) == (5, 10)
+                          else ("NonPlanar", None) if emb is None
+                          else ("PlanarTriangulation" if m == 3 * n - 6
+                                else "Planar", emb))
+    return tree, classes
+
+
+def test_shape_certified_skeletons_are_3_connected(tmp_path, capsys,
+                                                   monkeypatch):
+    """Every graph `_shape_class` certifies is an R skeleton of its class,
+    is 3-connected, and carries the very rotation of a fresh embedding of
+    its skeleton graph; and `cutpoly decompose` prints what it prints with
+    the frozen builder and sweep-only classes in place."""
+    certified = []
+    real = spqr._shape_class
+
+    def record(sg):
+        found = real(sg)
+        if found is not None:
+            certified.append((sg, found[0]))
+        return found
+
+    corpus = shape_corpus()
+    assert len(corpus) >= 300
+    checked = {"K5": 0, "PlanarTriangulation": 0}
+    recorded = 0
+    for k, g in enumerate(corpus):
+        f = tmp_path / f"g{k}.cut"
+        f.write_text(format_graph(g))
+        monkeypatch.setattr(spqr, "_shape_class", record)
+        certified.clear()
+        printed = main(["decompose", str(f)]), capsys.readouterr().out
+        blocks_ = decompose_blocks(g)
+        monkeypatch.setattr(spqr, "_spr_tree", sweep_only_spr_tree)
+        assert (main(["decompose", str(f)]), capsys.readouterr().out) \
+            == printed
+        monkeypatch.undo()
+        shaped = []
+        for b in blocks_:
+            for sid, (cls, emb) in b.r_skeletons.items():
+                if cls not in checked:
+                    continue
+                sg, _ = _skeleton_graph(b.tree.node(sid))
+                assert is_k_connected(sg, 3)
+                if cls == "K5":
+                    assert emb is None
+                else:
+                    assert emb.graph == sg
+                    assert emb.rotation == planar_embed(sg).rotation
+                shaped.append((sg, cls))
+                checked[cls] += 1
+        assert all(c in shaped for c in certified)
+        recorded += len(certified)
+    assert min(checked.values()) >= 100 and recorded >= 100, \
+        (checked, recorded)
 
 
 def completion_checking_blocks_first(g: Graph):
