@@ -118,12 +118,12 @@ def _non_simplicity_certificate(g: Graph) -> tuple[LinearInequality, ...]:
     through some chord.
     """
     m = len(g.edges)
-    cycles = chordless_cycles(g)
-    by_edge: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(m)}
-    for cyc in cycles:
-        for i in range(len(cyc)):
-            e = g.edge_index(cyc[i], cyc[(i + 1) % len(cyc)])
-            by_edge[e].append(cyc)
+    by_edge: dict[int, list[list[int]]] = {i: [] for i in range(m)}
+    for cyc in chordless_cycles(g):
+        ids = [g.edge_index(cyc[i], cyc[(i + 1) % len(cyc)])
+               for i in range(len(cyc))]
+        for e in ids:
+            by_edge[e].append(ids)
     out = []
     for e in range(m):
         if not by_edge[e]:
@@ -142,11 +142,12 @@ def _non_simplicity_certificate(g: Graph) -> tuple[LinearInequality, ...]:
     return uniq
 
 
-def _rooted_cycle(g: Graph, cyc, root_edge: int) -> LinearInequality:
+def _rooted_cycle(g: Graph, cycle_edges: list[int],
+                  root_edge: int) -> LinearInequality:
     coeffs = [0] * len(g.edges)
-    for i in range(len(cyc)):
-        e = g.edge_index(cyc[i], cyc[(i + 1) % len(cyc)])
-        coeffs[e] = 1 if e == root_edge else -1
+    for e in cycle_edges:
+        coeffs[e] = -1
+    coeffs[root_edge] = 1
     return LinearInequality.canonical(coeffs, 0)
 
 

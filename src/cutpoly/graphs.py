@@ -395,30 +395,40 @@ def chordless_cycles(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
     out: list[tuple[int, ...]] = []
-
-    def extend(v0: int, path: list[int], path_mask: int, blocked: int) -> None:
-        # blocked: nodes adjacent to internal path nodes (path[1:-1]);
-        # extensions must avoid them to keep the path induced.
-        last = path[-1]
-        above = ~((1 << (v0 + 1)) - 1)
-        cand = adj_mask[last] & ~path_mask & above & ~blocked
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if adj_mask[w] >> v0 & 1:
-                # closes a cycle; record, never extend through w
-                if len(path) >= 2 and path[1] < w:
-                    out.append(tuple(path) + (w,))
-                    if len(out) > cap:
-                        raise SizeLimitError("chordless cycle cap exceeded")
-            else:
-                extend(v0, path + [w], path_mask | (1 << w),
-                       blocked | (adj_mask[last] if len(path) >= 2 else 0))
-
     for v0 in range(n):
+        above = ~((1 << (v0 + 1)) - 1)
+        if (adj_mask[v0] & above).bit_count() < 2:
+            continue  # a cycle whose least node is v0 has two neighbours above it
         for v1, _i in g.neighbors(v0):
-            if v1 > v0:
-                extend(v0, [v0, v1], (1 << v0) | (1 << v1), 0)
+            if v1 <= v0:
+                continue
+            # depth-first over the induced paths v0, v1, ...: one frame per
+            # node of `path`, holding the path's node mask, the nodes next
+            # to its internal nodes path[1:-1] (an extension must avoid
+            # them to keep the path induced) and the extensions left to try
+            path = [v0, v1]
+            mask = (1 << v0) | (1 << v1)
+            stack = [(mask, 0, adj_mask[v1] & ~mask & above)]
+            while stack:
+                path_mask, blocked, cand = stack[-1]
+                if not cand:
+                    stack.pop()
+                    path.pop()
+                    continue
+                w = (cand & -cand).bit_length() - 1
+                stack[-1] = (path_mask, blocked, cand & (cand - 1))
+                if adj_mask[w] >> v0 & 1:
+                    # closes a cycle; record, never extend through w
+                    if path[1] < w:
+                        out.append(tuple(path) + (w,))
+                        if len(out) > cap:
+                            raise SizeLimitError("chordless cycle cap exceeded")
+                    continue
+                blocked |= adj_mask[path[-1]]
+                path_mask |= 1 << w
+                path.append(w)
+                stack.append((path_mask, blocked,
+                              adj_mask[w] & ~path_mask & above & ~blocked))
     return sorted(out, key=lambda c: (len(c), c))
 
 

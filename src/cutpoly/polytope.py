@@ -47,14 +47,13 @@ class LinearInequality:
 
     @staticmethod
     def canonical(coeffs, rhs: int) -> "LinearInequality":
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if not any(coeffs):
             raise GraphError("inequality needs a nonzero coefficient")
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        g = gcd(g, abs(rhs))
-        return LinearInequality(tuple(c // g for c in coeffs), rhs // g)
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            coeffs, rhs = tuple(c // g for c in coeffs), rhs // g
+        return LinearInequality(coeffs, rhs)
 
     def evaluate(self, x) -> int:
         return sum(c * v for c, v in zip(self.coeffs, x))

@@ -2,8 +2,10 @@
 
 A frozen copy kept as a differential oracle: one full Dijkstra and one
 parent per node for every terminal, then a canonical path for every
-terminal pair, matched or not.  `cutpoly.tjoin.min_weight_t_join` must
-return the very same join.
+terminal pair, matched or not, and the frozen dense blossom on the full
+k x k terminal metric.  `cutpoly.tjoin.min_weight_t_join` must return
+the same total, and the very same join wherever the metric has only one
+minimum-weight perfect matching (`allpairs_unique`).
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from cutpoly import CertificationError, TJoinError, min_weight_perfect_matching
+from cutpoly import CertificationError, TJoinError
 from cutpoly.graphs import disjoint_sets
+from dense_blossom import dense_matching, unique_optimum
 
 
 def allpairs_t_join(node_count: int,
@@ -37,23 +40,12 @@ def allpairs_t_join(node_count: int,
             raise TJoinError("edge endpoint out of range")
 
     neg = [i for i, (_u, _v, w) in enumerate(edges) if w < 0]
-    flip_parity = [0] * node_count
-    for i in neg:
-        u, v, _w = edges[i]
-        if u != v:
-            flip_parity[u] ^= 1
-            flip_parity[v] ^= 1
-    work_t = sorted(tset ^ {v for v in range(node_count) if flip_parity[v]})
-    abs_edges = [(u, v, abs(w)) for u, v, w in edges]
+    work_t, abs_edges = _nonnegative(node_count, edges, tset)
 
     join: set[int] = set()
     if work_t:
         dist, paths = _terminal_paths(node_count, abs_edges, work_t)
-        k = len(work_t)
-        matrix = [[0] * k for _ in range(k)]
-        for i, j in itertools.combinations(range(k), 2):
-            matrix[i][j] = matrix[j][i] = dist[(work_t[i], work_t[j])]
-        pairs, _total = min_weight_perfect_matching(matrix)
+        pairs, _total = dense_matching(_metric(work_t, dist))
         for i, j in pairs:
             join ^= paths[(work_t[i], work_t[j])]
     join ^= set(neg)
@@ -68,6 +60,39 @@ def allpairs_t_join(node_count: int,
     if {v for v in range(node_count) if deg[v]} != tset:
         raise CertificationError("join parity broken")
     return tuple(sorted(join)), total
+
+
+def allpairs_unique(node_count: int,
+                    edges: list[tuple[int, int, int]],
+                    terminals: set[int] | frozenset[int] | list[int]) -> bool:
+    """Whether the terminal metric of `allpairs_t_join` (after the same
+    negative-weight transformation) has one minimum-weight perfect
+    matching only, so that every exact solver picks the same pairs."""
+    work_t, abs_edges = _nonnegative(node_count, edges, set(terminals))
+    if not work_t:
+        return True
+    matrix = _metric(work_t, _terminal_paths(node_count, abs_edges, work_t)[0])
+    return unique_optimum(matrix, dense_matching(matrix)[0])
+
+
+def _nonnegative(node_count, edges, tset):
+    """The terminals and edges of the nonnegative instance: each negative
+    edge's ends flip in or out of T, and every weight becomes |w|."""
+    flip_parity = [0] * node_count
+    for u, v, w in edges:
+        if w < 0 and u != v:
+            flip_parity[u] ^= 1
+            flip_parity[v] ^= 1
+    work_t = sorted(tset ^ {v for v in range(node_count) if flip_parity[v]})
+    return work_t, [(u, v, abs(w)) for u, v, w in edges]
+
+
+def _metric(terminals, dist) -> list[list[int]]:
+    k = len(terminals)
+    matrix = [[0] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        matrix[i][j] = matrix[j][i] = dist[(terminals[i], terminals[j])]
+    return matrix
 
 
 def _terminal_paths(node_count, edges, terminals):

@@ -20,6 +20,9 @@ import cutpoly
 from cutpoly import (Graph, GeneratorSpec, decompose_blocks, format_graph,
                      gen_k33free, is_connected, is_k_connected)
 from cutpoly.spqr import _completion
+from allpairs_tjoin import allpairs_t_join, allpairs_unique
+from dense_blossom import dense_matching
+from fraction_blossom import FractionBlossom
 
 
 def complete(n: int, w: int = 1) -> Graph:
@@ -134,6 +137,13 @@ def shape_corpus() -> tuple[Graph, ...]:
                            for n in range(4, 81, 4)])
 
 
+@functools.cache
+def decomposed(g: Graph) -> tuple:
+    """`decompose_blocks(g)`, computed once per test run for the corpora
+    that several tests decompose."""
+    return tuple(decompose_blocks(g))
+
+
 def triangulation(n: int, thinned: bool) -> Graph:
     """`cutpoly gen --kinds triangulation --tri-size n` (seed 1), with
     `--delete-prob 1/10` when thinned."""
@@ -237,6 +247,66 @@ def tjoin_oracle(n, edges, terminals) -> int | None:
             if best is None or tot < best:
                 best = tot
     return best
+
+
+# -- oracle optima, computed once per test run --------------------------------
+#
+# The oracles cost far more than the solvers they check, and several tests
+# check the same instances, so each answer is cached by its instance
+# (weight matrices as tuples of rows).
+
+@functools.cache
+def dense_optimum(w: tuple[tuple[int, ...], ...]
+                  ) -> tuple[list[tuple[int, int]], int]:
+    """Minimum-weight perfect matching of w by the frozen dense blossom."""
+    return dense_matching([list(row) for row in w])
+
+
+@functools.cache
+def fraction_optimum(w: tuple[tuple[int, ...], ...]
+                     ) -> tuple[list[tuple[int, int]], int]:
+    """Minimum-weight perfect matching of w by the `Fraction` blossom."""
+    mate = FractionBlossom([[-x for x in row] for row in w]).solve()
+    pairs = sorted((i, j) for i, j in enumerate(mate) if i < j)
+    return pairs, sum(w[i][j] for i, j in pairs)
+
+
+@functools.cache
+def networkx_optimum(w: tuple[tuple[int, ...], ...]) -> int:
+    """Minimum perfect matching weight of w by networkx."""
+    import networkx as nx
+    g = nx.Graph()
+    g.add_weighted_edges_from((i, j, -w[i][j]) for i, j
+                              in itertools.combinations(range(len(w)), 2))
+    best = nx.max_weight_matching(g, maxcardinality=True)
+    if 2 * len(best) != len(w):
+        raise AssertionError("networkx found no perfect matching")
+    return sum(w[i][j] for i, j in best)
+
+
+@functools.cache
+def allpairs_optimum(n: int, edges: tuple, terminals: tuple):
+    """`allpairs_t_join` of one T-join instance."""
+    return allpairs_t_join(n, list(edges), list(terminals))
+
+
+def assert_same_join(got, n, edges, terminals) -> None:
+    """`got` (join, total) has the all-pairs oracle's total, and its very
+    join wherever the terminal metric has one optimal matching only."""
+    expect = allpairs_optimum(n, tuple(edges), tuple(sorted(terminals)))
+    assert got[1] == expect[1], (n, edges, terminals)
+    if got[0] != expect[0]:
+        assert not allpairs_unique(n, edges, terminals), (n, edges, terminals)
+
+
+def assert_same_matching(w, got, expect) -> None:
+    """`got` (pairs, total) is a perfect matching of w that costs its total,
+    and ties with the optimum `expect` of the same form.  Two different
+    optimal matchings show the optimum is not unique, so this also makes
+    the mates equal wherever it is."""
+    pairs, total = got
+    assert sorted(x for p in pairs for x in p) == list(range(len(w))), w
+    assert total == sum(w[i][j] for i, j in pairs) == expect[1], w
 
 
 def forced_cut_optimum(g: Graph, edge_index: int, in_cut: bool) -> int:

@@ -95,8 +95,11 @@ def test_projection_matches_per_candidate_rule(spec):
     assert g.node_count <= 9
     steps = list(projection_steps(g))
     assert steps
-    for system, idx in steps:
-        assert fourier_motzkin_project(system, idx) == old_project(system, idx)
+    # each step's input is the previous step's projection
+    done = [system for system, _idx in steps[1:]]
+    done.append(fourier_motzkin_project(*steps[-1]))
+    for (system, idx), projected in zip(steps, done):
+        assert projected == old_project(system, idx)
 
 
 @pytest.mark.parametrize("g", SMALL, ids=["one-ear", "two-ears", "long-ear"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from cutpoly import (DuplicateEdgeError, Graph, NodeRangeError,
                      cut_weight, ear_decomposition, enumerate_cuts,
                      format_graph, is_connected, is_k_connected, k5_subgraphs,
                      parse_graph, triangles)
+from cutpoly.cli import main
 from helpers import complete, cycle, path, random_graph
 
 
@@ -119,6 +121,18 @@ def test_chordless_cycles():
 def test_chordless_cycles_cap():
     with pytest.raises(SizeLimitError):
         chordless_cycles(complete(7), cap=3)
+
+
+def test_chordless_cycles_need_no_recursion(tmp_path, capsys):
+    """The induced-path search keeps its own stack: `cutpoly classify`
+    on a 1,500-node cycle exits 0 under the default recursion limit."""
+    assert sys.getrecursionlimit() <= 1000
+    g = cycle(1500)
+    assert chordless_cycles(g) == [tuple(range(1500))]
+    f = tmp_path / "c1500.cut"
+    f.write_text(format_graph(g))
+    assert main(["classify", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "simple no"
 
 
 def test_chordless_cycles_are_induced_and_unique():

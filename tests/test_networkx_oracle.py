@@ -11,12 +11,12 @@ import random
 import pytest
 
 import frozen_spqr
-from cutpoly import (GeneratorSpec, Graph, decompose_blocks, gen_k33free,
+from cutpoly import (GeneratorSpec, Graph, chordless_cycles, gen_k33free,
                      is_k_connected, spqr)
 from cutpoly.graphs import masked_cut_nodes
 from cutpoly.spqr import _skeleton_graph
-from helpers import (complete, cycle, path, random_2connected, shape_corpus,
-                     triangulation)
+from helpers import (complete, cycle, decomposed, path, random_2connected,
+                     shape_corpus, triangulation)
 
 nx = pytest.importorskip("networkx")
 
@@ -81,7 +81,7 @@ def tree_corpus():
               *(triangulation(n, False) for n in (160, 320, 640))]
     out = []
     for g in graphs:
-        for b in decompose_blocks(g):
+        for b in decomposed(g):
             if b.tree is not None:
                 out.append((b.graph.node_count, b.graph.edges, b.tree,
                             b.r_skeletons))
@@ -146,6 +146,22 @@ def generated() -> tuple[Graph, ...]:
                                            strict=s % 3 > 0,
                                            deletion_prob=(s % 2, 3)))
                  for s in range(40))
+
+
+def test_chordless_cycles_match_networkx():
+    """`chordless_cycles` lists the induced cycles networkx lists, each
+    once in canonical form (least node first, then its lesser
+    neighbour on the cycle)."""
+    total = 0
+    for g in CORPUS:
+        want = []
+        for c in nx.chordless_cycles(to_nx(g)):
+            i = c.index(min(c))
+            c = c[i:] + c[:i]
+            want.append(tuple(c if c[1] < c[-1] else c[:1] + c[:0:-1]))
+        assert chordless_cycles(g) == sorted(want, key=lambda c: (len(c), c))
+        total += len(want)
+    assert total > 1000
 
 
 def test_masked_sweep_matches_articulation_points():

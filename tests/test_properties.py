@@ -14,9 +14,8 @@ from cutpoly import GeneratorSpec, Graph, brute_hull, cut_vectors, \
     maxcut_bruteforce, min_weight_t_join, planar_embed, polytope
 from cutpoly.graphs import masked_cut_nodes
 from cutpoly.polytope import affine_rank
-from allpairs_tjoin import allpairs_t_join
 from frozen_dd_cone import dd_cone
-from helpers import tjoin_oracle
+from helpers import assert_same_join, tjoin_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -78,11 +77,12 @@ def test_tjoin_matches_subset_enumeration(instance):
 
 @hypothesis.given(tjoin_instances())
 def test_tjoin_equals_allpairs_paths(instance):
-    """Paths traced only for the matched pairs give the join of the
-    all-pairs paths."""
+    """Paths traced only for the matched pairs give the total of the
+    all-pairs paths, and their join where the optimal matching of the
+    terminal metric is unique."""
     n, edges, terminals = instance
-    assert min_weight_t_join(n, edges, terminals) \
-        == allpairs_t_join(n, edges, terminals)
+    assert_same_join(min_weight_t_join(n, edges, terminals),
+                     n, edges, terminals)
 
 
 @st.composite

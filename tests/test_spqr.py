@@ -16,8 +16,8 @@ from cutpoly import (GeneratorSpec, Graph, K33MinorError,
 from cutpoly.cli import main
 from cutpoly.maxcut import _decomposed_maxcut
 from cutpoly.spqr import _completion, _skeleton_graph
-from helpers import (complete, cycle, double_k5, k33, octahedron, path,
-                     random_2connected, random_graph, shape_corpus)
+from helpers import (complete, cycle, decomposed, double_k5, k33, octahedron,
+                     path, random_2connected, random_graph, shape_corpus)
 
 
 def test_spr_k5_single_r():
@@ -310,7 +310,7 @@ def test_shape_certified_skeletons_are_3_connected(tmp_path, capsys,
         monkeypatch.setattr(spqr, "_shape_class", record)
         certified.clear()
         printed = main(["decompose", str(f)]), capsys.readouterr().out
-        blocks_ = decompose_blocks(g)
+        blocks_ = decomposed(g)
         monkeypatch.setattr(spqr, "_spr_tree", sweep_only_spr_tree)
         assert (main(["decompose", str(f)]), capsys.readouterr().out) \
             == printed

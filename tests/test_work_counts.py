@@ -10,7 +10,7 @@ import pytest
 
 from cutpoly import (GeneratorSpec, Graph, brute_hull, cut_vectors,
                      decompose_blocks, dual_graph, gen_k33free,
-                     is_k_connected, planar_embed, spr_tree)
+                     is_k_connected, maxcut, planar_embed, spr_tree)
 from cutpoly import graphs as graphs_mod
 from cutpoly import planar as planar_mod
 from cutpoly import polytope, spqr
@@ -124,6 +124,33 @@ def test_tjoin_traces_only_matched_pairs(n, monkeypatch):
     tjoin_mod.min_weight_t_join(d.node_count, edges, terminals)
     assert len(terminals) == 2 * n - 4
     assert len(traced) == len(terminals) // 2
+
+
+@pytest.mark.parametrize("n", (80, 320))
+def test_tjoin_reads_a_sparse_metric(n, monkeypatch):
+    """`maxcut` on a stacked triangulation (seed 1) runs its dual T-join
+    on nearest-terminal candidates: each matching sees at most
+    K_NEAREST * k pairs, not k(k-1)/2; the searches settle at most 40
+    nodes per terminal over all rounds, pricing and path tracing
+    included; and no k x k matrix reaches the dense public matching."""
+    matchings, searches, dense = [], [], []
+    real_init = tjoin_mod._Search.__init__
+
+    def search_init(self, *args):
+        searches.append(self)
+        real_init(self, *args)
+
+    counting(monkeypatch, tjoin_mod._Blossom, "solve", matchings)
+    counting(monkeypatch, tjoin_mod, "min_weight_perfect_matching", dense)
+    monkeypatch.setattr(tjoin_mod._Search, "__init__", search_init)
+    maxcut(triangulation(n, thinned=False))
+    (k,) = {solver.n for (solver,) in matchings}
+    assert k > 2 * tjoin_mod.K_NEAREST
+    assert all(len(solver.edges) <= tjoin_mod.K_NEAREST * k
+               for (solver,) in matchings)
+    assert len(searches) == k
+    assert sum(len(s.dist) for s in searches) <= 40 * k
+    assert not dense
 
 
 def first_verify_m12() -> Graph:
