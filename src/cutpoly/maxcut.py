@@ -8,7 +8,11 @@ contributes the best cut value with its virtual edge forced in (beta+)
 and forced out (beta-); the difference is charged to the bundle of the
 pair it shares with the rest of the tree (the P skeleton on that pair,
 or the pair itself), no weight-0 edge is inserted, and the leaf is
-removed.
+removed.  A skeleton with at most MAX_ENUMERATED_NODES nodes (every K5,
+and every small S cycle or planar R skeleton) is solved by the
+oracle's enumeration, which yields beta+ and beta- from one pass over
+its cuts; a larger one, planar by then, by the dual T-join on its
+embedding, once per forced pattern.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from . import tjoin as tjoin_mod
 from .spqr import K33MinorError
 
 
-# entries per temporary array in maxcut_bruteforce, which bounds its memory
+# entries per temporary array in _best_sides, which bounds its memory
 _CELLS = 1 << 16
+# skeletons up to this size are solved by enumeration (see _skeleton_cuts)
+MAX_ENUMERATED_NODES = 10
 
 
 @dataclass(frozen=True)
@@ -62,34 +68,57 @@ def maxcut_bruteforce(g: Graph,
     `forced` = (edge index, in_cut) keeps only the cuts that put that edge
     in (or out of) the cut.  Ties break toward the smallest side mask
     (node v is bit v; node 0 is never in the side), the order of
-    `enumerate_cuts`.  Sides are evaluated in chunks as one product of
-    crossing indicators with the weights, in int64, or in Python integers
-    when the weights could overflow it.
+    `enumerate_cuts`.
+    """
+    (res,) = _enumerated_maxcuts(g, [forced])
+    return res
+
+
+def _enumerated_maxcuts(g: Graph, forceds: list[tuple[int, bool] | None],
+                        ) -> list[MaxCutResult]:
+    """`maxcut_bruteforce` of g once per entry of `forceds`, from one
+    enumeration of its cuts; each witness is certified."""
+    return [_certified(g, value, cut_from_side(
+                g, [v for v in range(g.node_count) if side >> v & 1]), forced)
+            for forced, (value, side) in zip(forceds, _best_sides(g, forceds))]
+
+
+def _best_sides(g: Graph, forceds: list[tuple[int, bool] | None],
+                ) -> list[tuple[int, int]]:
+    """(value, side mask) of the best cut once per entry of `forceds`.
+
+    Every side is evaluated once, in chunks, as one product of crossing
+    indicators with the weights, in int64, or in Python integers when the
+    weights could overflow it; each forced pattern then takes its own
+    argmax over the sides that keep its edge where it is pinned, the
+    smallest side mask on ties.
     """
     n = g.node_count
     if n > 24:
         raise SizeLimitError("maxcut_bruteforce guard: node_count <= 24")
     if n == 0 or not g.edges:
-        return MaxCutResult(0, cut_from_side(g, []))
+        return [(0, 0)] * len(forceds)
     dtype = np.int64 if g.abs_weight() < 1 << 63 else object
     us, vs = np.array([(u, v) for u, v, _w in g.edges]).T
     ws = np.array([w for _u, _v, w in g.edges], dtype=dtype)
     count = 1 << (n - 1)
     step = max(1, _CELLS // len(g.edges))
-    best, best_side = None, 0
+    best: list = [(None, 0)] * len(forceds)
     for start in range(0, count, step):
         sides = np.arange(start, min(count, start + step), dtype=np.int64) << 1
         cross = ((sides[:, None] >> us) ^ (sides[:, None] >> vs)) & 1
-        if forced is not None:
-            keep = cross[:, forced[0]] == forced[1]
-            sides, cross = sides[keep], cross[keep]
-        if len(sides):
-            values = cross.astype(dtype, copy=False) @ ws
-            top = int(np.argmax(values))
-            if best is None or values[top] > best:
-                best, best_side = int(values[top]), int(sides[top])
-    cut = cut_from_side(g, [v for v in range(n) if best_side >> v & 1])
-    return _certified(g, best, cut, forced)
+        values = cross.astype(dtype, copy=False) @ ws
+        for k, forced in enumerate(forceds):
+            if forced is None:
+                top = int(np.argmax(values))
+            else:
+                rows = np.flatnonzero(cross[:, forced[0]] == forced[1])
+                if not len(rows):
+                    continue
+                top = int(rows[np.argmax(values[rows])])
+            if best[k][0] is None or values[top] > best[k][0]:
+                best[k] = (int(values[top]), int(sides[top]))
+    return best
 
 
 def _certified(g: Graph, value: int, cut: Cut,
@@ -229,22 +258,46 @@ class EliminationState:
 
     # -- solving one skeleton ----------------------------------------------
 
+    def _skeleton_graph(self, sid: int) -> tuple[Graph, dict[int, int]]:
+        """Skeleton `sid` compacted, with the label -> compact-id map;
+        virtual edges take the current weight of their bundle.  A
+        skeleton's nodes are sorted, so compact node i is `sn.nodes[i]`."""
+        sn = self.tree.node(sid)
+        return compact_graph(sn.nodes, [
+            (e.u, e.v, e.weight if e.kind == "orig"
+             else self.weight[self.bundle[e.ref]]) for e in sn.edges])
+
     def _skeleton_cuts(self, sid: int,
                        forced_virtuals: list[tuple[int, int, bool] | None],
                        ) -> list[tuple[int, frozenset[int]]]:
         """Best cut of a skeleton graph once per entry of
-        `forced_virtuals`; virtual edges take the current weight of their
-        bundle.  Returns (value, global node side) pairs; a skeleton's
-        nodes are sorted, so compact node i is `sn.nodes[i]`."""
+        `forced_virtuals`.  Returns (value, global node side) pairs.
+
+        A skeleton with at most MAX_ENUMERATED_NODES nodes takes every
+        entry from one enumeration of its cuts, ties to the smallest side
+        mask; a larger one runs a dual T-join per entry on its embedding.
+        The bound is the crossover measured on generated triangulation
+        pieces (`gen --kinds triangulation --tri-size n:n`, seeds 0-15 per
+        n, each piece's classification embedding reused), for the
+        forced-in and forced-out cuts of one edge, certification
+        included; microseconds per piece, the least of nine interleaved
+        rounds, Python 3.11 on one core of a shared 2-vCPU VM:
+
+            n             4    5    6    7    8    9   10   11   12   13   14
+            enumeration  34   38   43   48   56   71  103  287  794 1121 2086
+            two T-joins 136  183  281  364  427  552  692  691 1027  905 1021
+            ratio       4.0  4.8  6.5  7.6  7.6  7.8  6.7  2.4  1.3  0.8  0.5
+
+        so the bound is the largest n at which one pass is at least three
+        times faster.
+        """
         sn = self.tree.node(sid)
-        sg, to_sub = compact_graph(sn.nodes, [
-            (e.u, e.v, e.weight if e.kind == "orig"
-             else self.weight[self.bundle[e.ref]]) for e in sn.edges])
+        sg, to_sub = self._skeleton_graph(sid)
         forceds = [None if fv is None else
                    (sg.edge_index(to_sub[fv[0]], to_sub[fv[1]]), fv[2])
                    for fv in forced_virtuals]
-        if sg.node_count == 5 and len(sg.edges) == 10:
-            results = [maxcut_bruteforce(sg, forced) for forced in forceds]
+        if sg.node_count <= MAX_ENUMERATED_NODES:
+            results = _enumerated_maxcuts(sg, forceds)
         else:
             results = _embedded_maxcuts(self._embedding(sid, sg), forceds)
         return [(res.value, frozenset(sn.nodes[v] for v in res.cut.side_nodes()))
@@ -255,7 +308,8 @@ class EliminationState:
         reuses the embedding its classification built, which lists the
         same node pairs in the same order (the tree's skeleton edge
         order), so only the weights change.  An S cycle is embedded
-        afresh."""
+        afresh; the solver embeds only skeletons with more than
+        MAX_ENUMERATED_NODES nodes, so only S cycles that long are."""
         if sid not in self.r_skeletons:
             return planar_mod.planar_embed(sg)
         _cls, emb = self.r_skeletons[sid]

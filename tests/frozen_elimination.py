@@ -4,9 +4,11 @@ A frozen copy kept as a differential oracle: the block is first copied by
 `augment_with_parallel_originals`, so every virtual edge has a parallel
 original (weight-0 edges are inserted where it has none), each leaf's
 gamma is written to that original, and P leaves dissolve by rewriting
-their neighbour's virtual edge into the original.  `cutpoly.maxcut.
-EliminationState` must take the very same steps and reach the same
-assignment.
+their neighbour's virtual edge into the original.  Skeletons are solved
+by the live solver's size rule: `maxcut_bruteforce` once per forced
+pattern up to MAX_ENUMERATED_NODES nodes, the dual T-join above.
+`cutpoly.maxcut.EliminationState` must take the very same steps and
+reach the same assignment.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import replace
 from cutpoly import (CertificationError, GraphError, maxcut_bruteforce,
                      planar_embed)
 from cutpoly.graphs import compact_graph
-from cutpoly.maxcut import EliminationStep, NonPlanarError, _embedded_maxcuts
+from cutpoly.maxcut import (MAX_ENUMERATED_NODES, EliminationStep,
+                            NonPlanarError, _embedded_maxcuts)
 from cutpoly.spqr import SkelEdge, augment_with_parallel_originals
 
 
@@ -82,7 +85,7 @@ class FrozenElimination:
         forceds = [None if fv is None else
                    (sg.edge_index(to_sub[fv[0]], to_sub[fv[1]]), fv[2])
                    for fv in forced_virtuals]
-        if sg.node_count == 5 and len(sg.edges) == 10:
+        if sg.node_count <= MAX_ENUMERATED_NODES:
             results = [maxcut_bruteforce(sg, forced) for forced in forceds]
         else:
             results = _embedded_maxcuts(self._embedding(sid, sg), forceds)

@@ -284,9 +284,11 @@ def test_spr_checks_raise_without_asserts(flags):
 # the invariants of the MaxCut leaf elimination that its witness replay
 # relies on, each broken on a fresh state of a 3-piece strict 2-sum
 ELIMINATION_INVARIANTS = """
+import importlib
 from cutpoly import (CertificationError, GeneratorSpec, decompose_blocks,
                      gen_k33free)
 from cutpoly.maxcut import EliminationState
+maxcut_mod = importlib.import_module("cutpoly.maxcut")
 (block,) = decompose_blocks(gen_k33free(GeneratorSpec(seed=1,
                                                       component_count=3)))
 
@@ -300,8 +302,17 @@ def no_leaf(s):
     s.kind = {v: "P" for v in s.kind}
     s.run()
 
+def side_breaking_the_forced_edge(s):
+    # the empty side cuts no edge, so beta+ loses its forced edge
+    real = maxcut_mod._best_sides
+    maxcut_mod._best_sides = lambda g, forceds: [(0, 0)] * len(forceds)
+    try:
+        s.eliminate(s.eligible_leaves()[0])
+    finally:
+        maxcut_mod._best_sides = real
+
 for breaking in (tree_edge_without_virtual, EliminationState.finish,
-                 no_leaf):
+                 no_leaf, side_breaking_the_forced_edge):
     try:
         breaking(EliminationState(block))
     except CertificationError as exc:
@@ -316,7 +327,8 @@ def test_elimination_invariants_raise_without_asserts(flags):
     assert proc.stdout.splitlines() == [
         "leaf must hold a virtual edge for its tree edge",
         "finish() before the tree is down to one node",
-        "tree with >1 node must have an S/R leaf"]
+        "tree with >1 node must have an S/R leaf",
+        "witness does not respect the forced edge"]
 
 
 # classify's non-simplicity certificate needs every chordless cycle: C4

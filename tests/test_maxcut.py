@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 
 from cutpoly import (EliminationState, Graph, K33MinorError, cut_weight,
                      decompose_blocks, maxcut, maxcut_bruteforce,
                      planar_maxcut)
-from cutpoly.maxcut import NonPlanarError
+from cutpoly.maxcut import (MAX_ENUMERATED_NODES, NonPlanarError,
+                            _embedded_maxcuts)
 from frozen_elimination import FrozenElimination
-from helpers import (complete, cycle, double_k5, forced_cut_optimum, k33,
-                     octahedron, random_planar_2connected,
+from helpers import (complete, cycle, decomposed, double_k5,
+                     forced_cut_optimum, k33, octahedron,
+                     random_planar_2connected, shape_corpus,
                      stacked_triangulation)
 
 
@@ -163,6 +166,53 @@ def test_elimination_matches_frozen_augmented_oracle():
                 leaf = leaves[0] if seed is None else rnd.choice(leaves)
                 assert state.eliminate(leaf) == frozen.eliminate(leaf)
             assert state.done() and state.finish() == frozen.finish()
+
+
+def test_enumerated_skeletons_match_bruteforce_and_tjoin():
+    """Every S and R skeleton with at most MAX_ENUMERATED_NODES nodes in
+    the shared corpus, and K5, as the elimination meets it (gammas on its
+    virtual edges): beta+ and beta- of a leaf, or the optimum of the last
+    skeleton, and their witnesses are those of `maxcut_bruteforce` with
+    the same forced edge, and the values are those of the dual T-joins
+    on the skeleton's embedding where it has one."""
+    checked = Counter()
+
+    def check(state, sid, skeleton, pinned, got):
+        sn = state.tree.node(sid)
+        sg, to_sub = skeleton
+        forceds = [fv and (sg.edge_index(to_sub[fv[0]], to_sub[fv[1]]), fv[2])
+                   for fv in pinned]
+        brute = [maxcut_bruteforce(sg, forced) for forced in forceds]
+        assert got == [(r.value, frozenset(sn.nodes[v]
+                                           for v in r.cut.side_nodes()))
+                       for r in brute], sn
+        cls = "S" if sn.kind == "S" else state.r_skeletons[sid][0]
+        if cls != "K5":
+            tjoin = _embedded_maxcuts(state._embedding(sid, sg), forceds)
+            assert [r.value for r in tjoin] == [r.value for r in brute], sn
+        checked[cls] += 1
+
+    for g in shape_corpus() + (complete(5),):
+        for block in decomposed(g):
+            if block.tree is None:
+                continue
+            state = EliminationState(block)
+            small = {sn.id for sn in block.tree.nodes
+                     if len(sn.nodes) <= MAX_ENUMERATED_NODES}
+            while not state.done():
+                leaf = state.eligible_leaves()[0]
+                skeleton = state._skeleton_graph(leaf)  # before its gamma
+                step = state.eliminate(leaf)
+                if leaf in small:
+                    a, b = step.virtual_edge
+                    check(state, leaf, skeleton, [(a, b, True), (a, b, False)],
+                          [(step.beta_plus, step.side_in),
+                           (step.beta_minus, step.side_out)])
+            (last,) = state.adj
+            if last in small:
+                check(state, last, state._skeleton_graph(last), [None],
+                      state._skeleton_cuts(last, [None]))
+    assert min(checked.values()) >= 100 and len(checked) == 4, checked
 
 
 def test_eliminate_rejects_non_leaves():

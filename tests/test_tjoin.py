@@ -11,7 +11,7 @@ import pytest
 from cutpoly import (GeneratorSpec, MatchingError, TJoinError,
                      decompose_blocks, gen_k33free, maxcut, maxcut_bruteforce,
                      min_weight_perfect_matching, min_weight_t_join,
-                     planar_embed)
+                     planar_embed, planar_maxcut)
 from cutpoly import planar as planar_mod
 from cutpoly import tjoin as tjoin_mod
 from cutpoly.tjoin import _Blossom
@@ -22,6 +22,10 @@ from helpers import (assert_same_join, assert_same_matching, dense_optimum,
                      run_python, tjoin_oracle)
 
 maxcut_mod = importlib.import_module("cutpoly.maxcut")  # `maxcut` is the function
+
+# generated pieces of at least this size are solved by a dual T-join; smaller
+# skeletons are enumerated and harvest none
+TJOIN_PIECE = maxcut_mod.MAX_ENUMERATED_NODES + 1
 
 
 def test_matching_two_points():
@@ -271,8 +275,9 @@ def test_tjoin_equals_allpairs_paths_on_planar_duals():
     """The dual T-joins `maxcut` solves (zero-weight augmentation edges
     included) give the all-pairs total, and its join where the optimal
     matching is unique."""
-    calls = _dual_tjoins([GeneratorSpec(seed=s, component_count=1 + s % 5,
-                                        tri_size=(4, 12)) for s in range(20)])
+    calls = _dual_tjoins([GeneratorSpec(
+        seed=s, component_count=1 + s % 5,
+        tri_size=(TJOIN_PIECE, TJOIN_PIECE + 4)) for s in range(20)])
     assert len(calls) > 40
     for args in calls:
         assert_same_join(min_weight_t_join(*args), *args)
@@ -287,7 +292,9 @@ def test_pricing_and_stalls_reach_the_allpairs_optimum(nearest, monkeypatch):
     instances = list(_tie_heavy_instances(150, seed=7)) + _dual_tjoins(
         [GeneratorSpec(seed=s, component_count=1, kinds=("triangulation",),
                        tri_size=(n, n)) for s, n in ((1, 16), (2, 24), (3, 40))]
-        + [GeneratorSpec(seed=s, component_count=4) for s in range(4)])
+        + [GeneratorSpec(seed=s, component_count=4,
+                         tri_size=(TJOIN_PIECE, TJOIN_PIECE + 2))
+           for s in range(4)])
     metrics, solved = [], []
     real_init, real_solve = tjoin_mod._TerminalMetric.__init__, _Blossom.solve
 
@@ -371,7 +378,9 @@ def test_integer_blossom_on_tjoin_matrices(monkeypatch):
     specs = [GeneratorSpec(seed=s, component_count=1,
                            kinds=("triangulation",), tri_size=(n, n))
              for s, n in ((1, 16), (2, 20), (3, 24))]
-    specs += [GeneratorSpec(seed=s, component_count=6) for s in (4, 5)]
+    specs += [GeneratorSpec(seed=s, component_count=6,
+                            tri_size=(TJOIN_PIECE, TJOIN_PIECE + 2))
+              for s in (4, 5)]
     matchings, shrunk = _tjoin_matchings(specs, monkeypatch)
     assert len(matchings) > 10 and max(s.n for s, _m in matchings) >= 20
     for solver, mate in matchings:
@@ -593,10 +602,15 @@ def test_shared_embedding_gives_fresh_betas(monkeypatch):
         return results
 
     monkeypatch.setattr(maxcut_mod, "_embedded_maxcuts", check)
-    for seed in range(6):
-        g = gen_k33free(GeneratorSpec(seed=seed, component_count=5))
-        assert maxcut(g).value == maxcut_bruteforce(g).value
+    graphs = [gen_k33free(GeneratorSpec(
+        seed=seed, component_count=2, tri_size=(TJOIN_PIECE, TJOIN_PIECE + 1)))
+        for seed in range(20)]
+    values = [maxcut(g).value for g in graphs]
+    monkeypatch.undo()
     assert sum(pairs) >= 10  # beta+ and beta- came through one call
+    # two glued triangulations are planar, and too large to enumerate
+    assert values == [(maxcut_bruteforce if planar_embed(g) is None
+                       else planar_maxcut)(g).value for g in graphs]
 
 
 def test_one_embedding_per_planar_skeleton(monkeypatch):

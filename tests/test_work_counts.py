@@ -19,6 +19,7 @@ from helpers import (complete, perfbench_module, stacked_triangulation,
                      triangulation, verify_small_pool)
 
 SIZES = (24, 80)
+maxcut_mod = importlib.import_module("cutpoly.maxcut")  # `maxcut` is the function
 
 
 def counting(monkeypatch, owner, name, log):
@@ -151,6 +152,25 @@ def test_tjoin_reads_a_sparse_metric(n, monkeypatch):
     assert len(searches) == k
     assert sum(len(s.dist) for s in searches) <= 40 * k
     assert not dense
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_small_skeletons_run_no_tjoin(n, monkeypatch):
+    """`maxcut` on a 10-piece chain, whose skeletons all have at most
+    MAX_ENUMERATED_NODES nodes, builds no dual and runs no T-join; a
+    stacked triangulation of n nodes, one larger skeleton, runs exactly
+    one."""
+    chain = gen_k33free(GeneratorSpec(seed=n, component_count=10))
+    tri = stacked_triangulation(n, random.Random(n))
+    for g, joins in ((chain, 0), (tri, 1)):
+        duals, tjoins = [], []
+        counting(monkeypatch, planar_mod, "dual_graph", duals)
+        counting(monkeypatch, tjoin_mod, "min_weight_t_join", tjoins)
+        maxcut(g)
+        monkeypatch.undo()
+        assert len(duals) == len(tjoins) == joins
+    assert max(len(sn.nodes) for b in decompose_blocks(chain)
+               for sn in b.tree.nodes) <= maxcut_mod.MAX_ENUMERATED_NODES
 
 
 def first_verify_m12() -> Graph:
