@@ -1,9 +1,25 @@
 """Planarity testing, combinatorial embeddings, faces and dual graphs.
 
-The embedding is the Demoucron-Malgrange-Pertuiset face/fragment method,
-made incremental: from a cycle, route fragment paths through admissible
-faces; each step splits only the routed fragment into its remaining pieces
-and re-tests only the fragments that listed the face it split.
+Each 2-connected graph, or block of a graph with cut nodes, is embedded
+by one of two methods, chosen by its shape alone:
+
+* Triangulation-shaped (n >= 4, m = 3n - 6), the shape of every maximal
+  planar piece: `_embed_triangulation` contracts edges down to K4 and
+  expands the contractions back into a rotation system.  A planar
+  triangulation has only one embedding up to mirror image (Whitney), so
+  any order of contractions yields it or its mirror; the method refutes
+  non-planar graphs of this shape by itself (the proofs are in its
+  docstring).
+* Any other shape (m < 3n - 6, or a triangle; m > 3n - 6 is not
+  planar): the Demoucron-Malgrange-Pertuiset face/fragment method
+  ("DMP"), made incremental: from a cycle, route fragment paths through
+  admissible faces; each step splits only the routed fragment into its
+  remaining pieces and re-tests only the fragments that listed the face
+  it split.  Non-maximal planar skeletons and arbitrary inputs of
+  `planar_embed` need it.
+
+Both give node rotations; `_face_walks` walks their faces once and
+certifies the result by Euler's formula.
 """
 
 from __future__ import annotations
@@ -151,17 +167,16 @@ def _embed_biconnected(g: Graph) -> list[list[int]] | None:
     return faces
 
 
-def _rotation_from_faces(g: Graph,
-                         faces: list[list[int]]) -> dict[int, list[int]]:
+def _rotation_from_faces(g: Graph, faces: list[list[int]]) -> list[list[int]]:
     """Neighbor rotation (as successor orbits) from oriented face cycles."""
-    succ: dict[int, dict[int, int]] = {v: {} for v in range(g.node_count)}
+    succ: list[dict[int, int]] = [{} for _ in range(g.node_count)]
     for f in faces:
         k = len(f)
         for j in range(k):
             u, v, w = f[j - 1], f[j], f[(j + 1) % k]
             succ[v][u] = w
-    rot: dict[int, list[int]] = {}
-    for v, per in succ.items():
+    rot: list[list[int]] = []
+    for per in succ:
         start = min(per)
         orbit = [start]
         while True:
@@ -171,8 +186,139 @@ def _rotation_from_faces(g: Graph,
             orbit.append(nxt)
         if len(orbit) != len(per):
             raise CertificationError("embedding darts at a node form one orbit")
-        rot[v] = orbit
+        rot.append(orbit)
     return rot
+
+
+def _contract(nb: list[set[int]], u: int, v: int) -> set[int]:
+    """Contract the edge uv of the graph held as neighbour sets `nb` into
+    u; return v's private neighbours (those that were not u's).  v's own
+    set is left stale: the caller marks v removed."""
+    nv = nb[v]
+    nv.discard(u)
+    private = nv - nb[u]
+    for w in nv:
+        nb[w].discard(v)
+    for p in private:
+        nb[p].add(u)
+    nb[u] |= private
+    nb[u].discard(v)
+    return private
+
+
+def _insert_between(orbit: list[int], a: int, b: int, new: int) -> None:
+    """Put `new` between the neighbours a and b, consecutive in orbit."""
+    i = orbit.index(a)
+    if orbit[i - 1] == b:
+        orbit.insert(i, new)
+    elif orbit[(i + 1) % len(orbit)] == b:
+        orbit.insert(i + 1, new)
+    else:
+        raise CertificationError("a split node's neighbours meet in a face")
+
+
+def _embed_triangulation(g: Graph) -> list[list[int]] | None:
+    """Neighbor rotation of a simple graph with n >= 4 and m = 3n - 6,
+    or None if it is not planar.
+
+    Contraction: while more than 4 nodes are left, take a node v of
+    degree <= 5 and an edge uv whose ends have exactly two common
+    neighbours x and y, and contract it into u.  That removes 1 node and
+    3 edges, so m = 3n - 6 still holds and the graph stays simple.  Only
+    x, y and u change degree, so pushing them onto a work list after
+    each step keeps every node of degree <= 5 on it (stale entries are
+    skipped when popped): each step costs O(1) set operations, and no
+    live node is ever rescanned.  Four nodes with 6 edges are K4.
+
+    Expansion: from a fixed K4 rotation, undo the contractions in
+    reverse.  v's private neighbours must be exactly one of the two arcs
+    strictly between x and y in u's rotation; u is split along that arc
+    and renamed v at the arc's nodes, and v goes between u and the arc's
+    first node at x and between u and its last node at y (between u and
+    y, and u and x, when the arc is empty).  The side is picked by the
+    arc's node set, never by which neighbour of x in u's rotation is
+    adjacent to v: when u keeps no private neighbour, both are.
+
+    Exactness, for the graph G met at any step:
+
+    * A node v of degree d <= 5 without such an edge => G is not
+      planar.  In a planar triangulation with n >= 5, v's neighbours form
+      a cycle C around v, and an edge va lies in a third triangle
+      exactly when a chord of C ends at a.  The chords lie on the side
+      of C away from v and do not cross, so there are at most d - 3 of
+      them, with at most 2(d - 3) < d ends: some edge at v has exactly
+      two common neighbours.  Such a node always exists, as m = 3n - 6
+      keeps the average degree below 6.
+    * A failed split => G is not planar.  If it were, G/uv would be a
+      planar triangulation, hence 3-connected with one embedding up to
+      mirror image (Whitney), and G's embedding would contract to it; in
+      that embedding v's private neighbours form one arc between x and y.
+    * Contraction keeps planarity, so either verdict also refutes g; and
+      splitting a node along an arc of a planar rotation keeps it planar,
+      so the result is a planar embedding.  `_face_walks` re-certifies
+      it by Euler's formula in any case.
+    """
+    n = g.node_count
+    nb = [{y for y, _i in adj} for adj in g._adj]
+    steps: list[tuple[int, int, int, int, set[int]]] = []
+    removed = [False] * n
+    work = list(range(n))
+    for _ in range(n - 4):
+        while True:
+            if not work:
+                raise CertificationError(
+                    "a graph with m = 3n - 6 has a node of degree <= 5")
+            v = work.pop()
+            if not removed[v] and len(nb[v]) <= 5:
+                break
+        for u in nb[v]:
+            common = nb[u] & nb[v]
+            if len(common) == 2:
+                break
+        else:
+            return None
+        x, y = common
+        steps.append((u, v, x, y, _contract(nb, u, v)))
+        removed[v] = True
+        work += (x, y, u)  # the only nodes whose degree changed
+    a, b, c, d = live = [w for w in range(n) if not removed[w]]
+    if any(nb[w] != set(live) - {w} for w in live):
+        raise CertificationError("contraction must end at K4")
+
+    rot: list[list[int]] = [[] for _ in range(n)]
+    rot[a], rot[b], rot[c], rot[d] = [b, c, d], [a, d, c], [a, b, d], [a, c, b]
+    for u, v, x, y, private in reversed(steps):
+        r = rot[u]
+        i, j = r.index(x), r.index(y)
+        if i > j:
+            i, j, x, y = j, i, y, x
+        inner, outer = r[i + 1:j], r[j + 1:] + r[:i]  # x, inner, y, outer
+        if len(inner) == len(private) and private.issuperset(inner):
+            s, arc, t, rest = x, inner, y, outer
+        elif len(outer) == len(private) and private.issuperset(outer):
+            s, arc, t, rest = y, outer, x, inner
+        else:
+            return None
+        rot[u] = [s, v, t, *rest]
+        rot[v] = [s, *arc, t, u]
+        for p in arc:
+            rp = rot[p]
+            rp[rp.index(u)] = v
+        _insert_between(rot[s], u, arc[0] if arc else t, v)
+        _insert_between(rot[t], u, arc[-1] if arc else s, v)
+    return rot
+
+
+def _block_rotation(g: Graph) -> list[list[int]] | None:
+    """Neighbor rotation of a 2-connected graph with >= 3 nodes, or None
+    if it is not planar; the method is chosen by the shape of g."""
+    n, m = g.node_count, len(g.edges)
+    if m > 3 * n - 6:
+        return None
+    if n >= 4 and m == 3 * n - 6:
+        return _embed_triangulation(g)
+    faces = _embed_biconnected(g)
+    return None if faces is None else _rotation_from_faces(g, faces)
 
 
 def planar_embed(g: Graph) -> Embedding | None:
@@ -189,54 +335,54 @@ def planar_embed(g: Graph) -> Embedding | None:
         raise DisconnectedError("planar_embed needs a connected graph")
     if len(g.edges) > 3 * g.node_count - 6 and g.node_count >= 3:
         return None
-    rotation: list[list[int]] = [[] for _ in range(g.node_count)]
     if g.node_count >= 3 and not cut:
-        parts = [(range(g.node_count), range(len(g.edges)), g)]
-    else:
-        parts = [(sorted(bnodes), bedges, None)
-                 for bnodes, bedges in blocks(g).blocks]
-    for bnodes, bedges, sub in parts:
-        if len(bedges) == 1:
-            u, v, _w = g.edges[bedges[0]]
-            rotation[u].append(bedges[0])
-            rotation[v].append(bedges[0])
-            continue
-        if sub is None:
-            sub, _ = compact_graph(bnodes, [g.edges[i] for i in bedges])
-        faces = _embed_biconnected(sub)
-        if faces is None:
+        rot = _block_rotation(g)
+        if rot is None:
             return None
-        for sv, orbit in _rotation_from_faces(sub, faces).items():
-            rotation[bnodes[sv]].extend(bedges[sub.edge_index(sv, su)]
-                                        for su in orbit)
-    frozen = tuple(tuple(r) for r in rotation)
-    return Embedding(g, frozen, *_face_walks(g, frozen))
+    else:
+        rot = [[] for _ in range(g.node_count)]
+        for bnodes, bedges in blocks(g).blocks:
+            if len(bedges) == 1:
+                u, v, _w = g.edges[bedges[0]]
+                rot[u].append(v)
+                rot[v].append(u)
+                continue
+            bnodes = sorted(bnodes)
+            sub, _ = compact_graph(bnodes, [g.edges[i] for i in bedges])
+            sub_rot = _block_rotation(sub)
+            if sub_rot is None:
+                return None
+            for sv, orbit in enumerate(sub_rot):
+                rot[bnodes[sv]].extend(bnodes[su] for su in orbit)
+    return Embedding(g, *_face_walks(g, rot))
 
 
-def _other(g: Graph, edge_index: int, v: int) -> int:
-    u, w, _ = g.edges[edge_index]
-    return w if u == v else u
-
-
-def _face_walks(g: Graph, rotation: tuple[tuple[int, ...], ...]
-                ) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
+def _face_walks(g: Graph, rot: list[list[int]]
+                ) -> tuple[tuple[tuple[int, ...], ...],
+                           tuple[tuple[tuple[int, int], ...], ...],
                            dict[tuple[int, int], int]]:
-    """Traverse all faces of a rotation system of the connected graph g;
-    return (dart walks, dart -> face id map).
+    """Certify the neighbor rotation system `rot` of the connected graph g
+    as a planar embedding and traverse all its faces; return (rotation
+    as edge indices, dart walks, dart -> face id map).
 
+    Each rotation must list each of its node's neighbours once.
     Traversal starts from the lexicographically smallest unused dart, so
     face ids are deterministic.  The face count must satisfy Euler's
     formula f = m - n + 2, which certifies the rotation system as a
     planar (genus 0) embedding.
     """
-    pos: dict[tuple[int, int], int] = {}
-    for v, orbit in enumerate(rotation):
-        for j, i in enumerate(orbit):
-            pos[(v, _other(g, i, v))] = j
-    all_darts = sorted(d for u, v, _w in g.edges for d in ((u, v), (v, u)))
+    rotation: list[tuple[int, ...]] = []
+    succ: list[dict[int, int]] = []
+    for adj, orbit in zip(g._adj, rot):
+        index = dict(adj)
+        nxt = dict(zip(orbit, orbit[1:] + orbit[:1]))
+        if len(orbit) != len(index) or nxt.keys() != index.keys():
+            raise CertificationError("a rotation lists each neighbour once")
+        rotation.append(tuple(map(index.__getitem__, orbit)))
+        succ.append(nxt)
     walks: list[tuple[tuple[int, int], ...]] = []
     face_of_dart: dict[tuple[int, int], int] = {}
-    for start in all_darts:
+    for start in [(v, w) for v, adj in enumerate(g._adj) for w, _i in adj]:
         if start in face_of_dart:
             continue
         fid = len(walks)
@@ -245,16 +391,14 @@ def _face_walks(g: Graph, rotation: tuple[tuple[int, ...], ...]
         while (dart := (u, v)) not in face_of_dart:
             face_of_dart[dart] = fid
             walk.append(dart)
-            orbit = rotation[v]
-            nxt = orbit[(pos[(v, u)] + 1) % len(orbit)]
-            u, v = v, _other(g, nxt, v)
+            u, v = v, succ[v][u]
         walks.append(tuple(walk))
     if not walks:
         walks = [()]  # single node: one (outer) face
     if len(walks) != len(g.edges) - g.node_count + 2:
         raise CertificationError(
             "face count breaks Euler's formula f = m - n + 2")
-    return tuple(walks), face_of_dart
+    return tuple(rotation), tuple(walks), face_of_dart
 
 
 def faces_of(emb: Embedding) -> list[list[int]]:

@@ -21,9 +21,10 @@ are adjacent.  An R skeleton is 3-connected by its shape alone when it is
 one of the two piece types of K33-minor-free graphs: K5-shaped (5 nodes,
 10 edges, so complete), or triangulation-shaped (m = 3n - 6) with a
 planar embedding, so maximal planar and 3-connected (Whitney); that
-embedding is the skeleton's only one.  Any other R skeleton is certified
-by one sweep of each G-v.  A block of either shape is one R skeleton as
-it stands, and skips the pass.
+embedding is the skeleton's only one, found by edge contraction (see
+`planar`), which also refutes every non-planar skeleton of this shape.
+Any other R skeleton is certified by one sweep of each G-v.  A block of
+either shape is one R skeleton as it stands, and skips the pass.
 """
 
 from __future__ import annotations
@@ -113,16 +114,13 @@ def _shape_class(sg: Graph) -> RClass | None:
     K5-shaped (5 nodes, 10 edges: complete, so 4-connected), or
     triangulation-shaped (m = 3n - 6, n >= 4) with an embedding, so
     maximal planar and 3-connected by Whitney's theorem; None otherwise.
-    A graph with a degree-4 node whose neighbours are pairwise adjacent
-    holds a K5, so it is not planar and is not embedded."""
+    The embedding is `planar_embed`'s contraction method, which refutes
+    a non-planar graph of this shape (a K5 around a degree-4 node, say)
+    by itself."""
     n, m = sg.node_count, len(sg.edges)
     if n == 5 and m == 10:
         return "K5", None
     if n < 4 or m != 3 * n - 6:
-        return None
-    nbrs = [{y for y, _i in sg.neighbors(x)} for x in range(n)]
-    if any(len(ns) == 4 and all(nbrs[x] >= ns - {x} for x in ns)
-           for ns in nbrs):
         return None
     emb = planar_mod.planar_embed(sg)
     return None if emb is None else ("PlanarTriangulation", emb)

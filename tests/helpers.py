@@ -20,6 +20,7 @@ import cutpoly
 from cutpoly import (Graph, GeneratorSpec, decompose_blocks, format_graph,
                      gen_k33free, is_connected, is_k_connected)
 from cutpoly.spqr import _completion
+import frozen_spqr
 from allpairs_tjoin import allpairs_t_join, allpairs_unique
 from dense_blossom import dense_matching
 from fraction_blossom import FractionBlossom
@@ -142,6 +143,13 @@ def decomposed(g: Graph) -> tuple:
     """`decompose_blocks(g)`, computed once per test run for the corpora
     that several tests decompose."""
     return tuple(decompose_blocks(g))
+
+
+@functools.cache
+def frozen_tree(node_count: int, edges: tuple):
+    """`frozen_spqr.tree`, computed once per test run for the blocks that
+    both the networkx oracle and the shape-certificate test rebuild."""
+    return frozen_spqr.tree(node_count, edges)
 
 
 def triangulation(n: int, thinned: bool) -> Graph:

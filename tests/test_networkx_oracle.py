@@ -10,13 +10,12 @@ import random
 
 import pytest
 
-import frozen_spqr
 from cutpoly import (GeneratorSpec, Graph, chordless_cycles, gen_k33free,
                      is_k_connected, spqr)
 from cutpoly.graphs import masked_cut_nodes
 from cutpoly.spqr import _skeleton_graph
-from helpers import (complete, cycle, decomposed, path, random_2connected,
-                     shape_corpus, triangulation)
+from helpers import (complete, cycle, decomposed, frozen_tree, path,
+                     random_2connected, shape_corpus, triangulation)
 
 nx = pytest.importorskip("networkx")
 
@@ -107,7 +106,7 @@ def test_spr_r_skeletons_are_3_connected_per_networkx():
               "PlanarTriangulation": 0, "Planar": 0, "NonPlanar": 0}
     proved = set()  # R skeleton graphs (edge sets) found 3-connected
     for n, edges, tree, r_skeletons in tree_corpus():
-        assert repr(tree) == repr(frozen_spqr.tree(n, edges)), edges
+        assert repr(tree) == repr(frozen_tree(n, edges)), edges
         counts["trees"] += 1
         counts["multi"] += len(set(frozenset(e[:2]) for e in edges)) \
             < len(edges)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,8 +6,9 @@ import pytest
 
 from cutpoly import (DisconnectedError, GeneratorSpec, Graph, decompose_blocks,
                      dual_graph, enumerate_cuts, faces_of, gen_k33free,
-                     minor_exhaustive, planar_embed)
-from cutpoly.planar import _embed_biconnected
+                     is_k_connected, minor_exhaustive, planar_embed)
+from cutpoly.planar import (_embed_biconnected, _embed_triangulation,
+                            _face_walks)
 from cutpoly.spqr import _skeleton_graph
 from fragment_embedding import embed_biconnected
 from helpers import (complete, cycle, k33, octahedron, random_graph,
@@ -151,6 +153,52 @@ def test_incremental_embedding_equals_full_recompute():
     assert min(verdicts) >= 50, verdicts  # planar and non-planar alike
 
 
+# -- the contraction embedding against networkx and the fragment method ------
+
+@functools.cache
+def triangulation_shaped() -> tuple[Graph, ...]:
+    """Graphs with m = 3n - 6, built once per run: every one on n <= 6
+    labelled nodes (the 455 with n = 6 among them), 40 seeded random
+    2-connected ones for each n from 7 to 12, and stacked triangulations
+    with n from 4 to 80."""
+    out = []
+    for n in (4, 5, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        out += [Graph(n, [(u, v, 1) for u, v in chosen])
+                for chosen in itertools.combinations(pairs, 3 * n - 6)]
+    rnd = random.Random(14)
+    for n in range(7, 13):
+        pairs = list(itertools.combinations(range(n), 2))
+        drawn = 0
+        while drawn < 40:
+            g = Graph(n, [(u, v, 1) for u, v in rnd.sample(pairs, 3 * n - 6)])
+            if is_k_connected(g, 2):
+                out.append(g)
+                drawn += 1
+    out += [stacked_triangulation(n, random.Random(n)) for n in range(4, 81)]
+    return tuple(out)
+
+
+def test_contraction_embedding_matches_networkx_and_fragments():
+    """`_embed_triangulation` refutes exactly the graphs networkx finds
+    non-planar, and where it embeds, its faces are the fragment
+    method's: a triangulation has one embedding up to mirror image."""
+    nx = pytest.importorskip("networkx")
+    verdicts = [0, 0]
+    for g in triangulation_shaped():
+        h = nx.Graph()
+        h.add_nodes_from(range(g.node_count))
+        h.add_edges_from(e[:2] for e in g.edges)
+        rot = _embed_triangulation(g)
+        assert (rot is not None) == nx.check_planarity(h)[0], g.edges
+        verdicts[rot is not None] += 1
+        if rot is not None:
+            _rotation, walks, _ = _face_walks(g, rot)
+            assert {frozenset(u for u, _v in w) for w in walks} \
+                == {frozenset(f) for f in _embed_biconnected(g)}, g.edges
+    assert min(verdicts) >= 250, verdicts
+
+
 def _subdivided(g: Graph, count: int, rnd: random.Random) -> Graph:
     """g with `count` random edges subdivided by a new node each."""
     edges, n = list(g.edges), g.node_count
@@ -186,33 +234,89 @@ except CertificationError as exc:
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
 def test_orbit_check_raises_without_asserts(flags):
-    proc = run_python(*flags, "-c", ORBIT_SPLIT)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "embedding darts at a node form one orbit\n"
+    assert broken_runs(flags)["orbit"] \
+        == "embedding darts at a node form one orbit\n"
 
 
-# K4 with the rotation at node 0 reversed: every node keeps one orbit, but
-# the rotation system lies on the torus (2 faces, not 4); the shape
-# certificate of spr_tree meets the same check through its embedding
+# K4 with the rotation at node 0 reversed (the triangulation path) and W4
+# with its hub's rotation reversed (the fragment path): every node keeps
+# one orbit, but each rotation system lies on the torus, not the sphere;
+# the shape certificate of spr_tree meets the same check on K4, and the
+# 3-connected R skeleton W4 through its classification embedding
 EULER_BREAK = """
 from cutpoly import CertificationError, Graph, planar, spr_tree
-real = planar._rotation_from_faces
-def flipped(g, faces):
-    rot = real(g, faces)
-    rot[0].reverse()
-    return rot
-planar._rotation_from_faces = flipped
+def reversing(real, node):
+    def flipped(*args):
+        rot = real(*args)
+        rot[node].reverse()
+        return rot
+    return flipped
 k4 = Graph(4, [(u, v, 1) for u in range(4) for v in range(u)])
-for run in (planar.planar_embed, spr_tree):
-    try:
-        run(k4)
-    except CertificationError as exc:
-        print(exc)
+rim = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
+w4 = Graph(5, rim + [(x, 4, 1) for x in range(4)])
+for name, g, node in (("_embed_triangulation", k4, 0),
+                      ("_rotation_from_faces", w4, 4)):
+    real = getattr(planar, name)
+    setattr(planar, name, reversing(real, node))
+    for run in (planar.planar_embed, spr_tree):
+        try:
+            run(g)
+        except CertificationError as exc:
+            print(exc)
+    setattr(planar, name, real)
 """
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
 def test_euler_check_raises_without_asserts(flags):
-    proc = run_python(*flags, "-c", EULER_BREAK)
+    assert broken_runs(flags)["euler"] \
+        == "face count breaks Euler's formula f = m - n + 2\n" * 4
+
+
+# K5 minus the edge 3-4: its one contraction, patched to drop one more
+# edge, leaves 4 nodes with 5 edges
+NOT_K4 = """
+from cutpoly import CertificationError, Graph, planar
+real = planar._contract
+def lossy(nb, u, v):
+    private = real(nb, u, v)
+    w = min(nb[u])
+    nb[u].discard(w)
+    nb[w].discard(u)
+    return private
+planar._contract = lossy
+try:
+    planar.planar_embed(Graph(5, [(u, v, 1) for u in range(5)
+                                  for v in range(u) if (v, u) != (3, 4)]))
+except CertificationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_k4_check_raises_without_asserts(flags):
+    assert broken_runs(flags)["k4"] == "contraction must end at K4\n"
+
+
+BROKEN = {"orbit": ORBIT_SPLIT, "euler": EULER_BREAK, "k4": NOT_K4}
+
+# runs each script given as an argument in turn, undoing its patches of
+# `planar` before the next, and ends each one's stdout with a NUL
+RUN_EACH = """
+import sys
+from cutpoly import planar
+real = dict(vars(planar))
+for script in sys.argv[1:]:
+    exec(script, {})
+    vars(planar).update(real)
+    print(end="\\0")
+"""
+
+
+@functools.cache
+def broken_runs(flags: tuple[str, ...]) -> dict[str, str]:
+    """Stdout of each script of BROKEN, all run in one interpreter per
+    set of flags, so each flag set starts Python once."""
+    proc = run_python(*flags, "-c", RUN_EACH, *BROKEN.values())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "face count breaks Euler's formula f = m - n + 2\n" * 2
+    return dict(zip(BROKEN, proc.stdout.split("\0")))

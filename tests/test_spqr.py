@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-import frozen_spqr
 from cutpoly import (GeneratorSpec, Graph, K33MinorError,
                      NotTwoConnectedError, augment_with_parallel_originals,
                      blocks, decompose_blocks, facet_description,
@@ -16,8 +15,9 @@ from cutpoly import (GeneratorSpec, Graph, K33MinorError,
 from cutpoly.cli import main
 from cutpoly.maxcut import _decomposed_maxcut
 from cutpoly.spqr import _completion, _skeleton_graph
-from helpers import (complete, cycle, decomposed, double_k5, k33, octahedron,
-                     path, random_2connected, random_graph, shape_corpus)
+from helpers import (complete, cycle, decomposed, double_k5, frozen_tree, k33,
+                     octahedron, path, random_2connected, random_graph,
+                     shape_corpus)
 
 
 def test_spr_k5_single_r():
@@ -269,7 +269,7 @@ def sweep_only_spr_tree(g: Graph):
     """`spqr._spr_tree` with no shape certificate: the frozen split-search
     tree, each R skeleton checked 3-connected by the sweep and classed by
     its shape and a fresh embedding."""
-    tree = frozen_spqr.tree(g.node_count, g.edges)
+    tree = frozen_tree(g.node_count, g.edges)
     classes = {}
     for sn in tree.nodes:
         if sn.kind != "R":
@@ -333,6 +333,29 @@ def test_shape_certified_skeletons_are_3_connected(tmp_path, capsys,
         recorded += len(certified)
     assert min(checked.values()) >= 100 and recorded >= 100, \
         (checked, recorded)
+
+
+def test_k5_around_a_degree_4_node_is_non_planar():
+    """A triangulation-shaped skeleton holding a K5 around its degree-4
+    node 0 gets no shape certificate: the contraction embedding refutes
+    it, and the skeleton is classed NonPlanar, as the whole block and as
+    one R skeleton of a 2-sum with K4 on the edge 5-6."""
+    pairs = [*itertools.combinations(range(5), 2),
+             (5, 6), (1, 5), (2, 5), (3, 6), (4, 6)]
+    g = Graph(7, [(u, v, 1) for u, v in pairs])
+    assert len(g.edges) == 3 * 7 - 6 and is_k_connected(g, 3)
+    assert spqr._shape_class(g) is None
+    k4 = [(5, 7), (6, 7), (5, 8), (6, 8), (7, 8)]
+    summed = Graph(9, list(g.edges) + [(u, v, 1) for u, v in k4])
+    for h, kinds in ((g, ["NonPlanar"]),
+                     (summed, ["NonPlanar", "PlanarTriangulation"])):
+        (block,) = decompose_blocks(h)
+        classes = {sid: cls for sid, (cls, _emb)
+                   in block.r_skeletons.items()}
+        assert sorted(classes.values()) == kinds
+        assert block.witness is not None
+        assert classes[block.witness.id] == "NonPlanar"
+        assert block.witness.nodes == tuple(range(7))
 
 
 def completion_checking_blocks_first(g: Graph):

@@ -173,6 +173,28 @@ def test_small_skeletons_run_no_tjoin(n, monkeypatch):
                for sn in b.tree.nodes) <= maxcut_mod.MAX_ENUMERATED_NODES
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_triangulation_shapes_skip_the_fragment_method(n, monkeypatch):
+    """`maxcut` on a 10-piece chain and on a stacked triangulation of n
+    nodes embeds every skeleton by contraction and never reaches the
+    fragment method; a thinned triangulation, whose skeletons are not
+    all maximal planar, still does."""
+    chain = gen_k33free(GeneratorSpec(seed=n, component_count=10))
+    tri = stacked_triangulation(n, random.Random(n))
+    for g, fragments in ((chain, False), (tri, False),
+                         (triangulation(n, thinned=True), True)):
+        contracted, routed = [], []
+        counting(monkeypatch, planar_mod, "_embed_triangulation", contracted)
+        counting(monkeypatch, planar_mod, "_embed_biconnected", routed)
+        maxcut(g)
+        monkeypatch.undo()
+        assert bool(routed) == fragments
+        assert contracted or fragments
+        assert all(len(h.edges) == 3 * h.node_count - 6
+                   for (h,) in contracted)
+        assert all(len(h.edges) < 3 * h.node_count - 6 for (h,) in routed)
+
+
 def first_verify_m12() -> Graph:
     """The first 12-edge graph of the benchmark's verify-small pool."""
     return next(g for g in verify_small_pool(1) if len(g.edges) == 12)
