@@ -12,6 +12,7 @@ import argparse
 import functools
 import sys
 import traceback
+import warnings
 
 from .graphs import (Graph, NotTwoConnectedError, ParseError,
                      SizeLimitError, cut_vectors, format_graph, parse_graph)
@@ -257,7 +258,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # a library warning is one line of stderr, not Python's display
+            warnings.showwarning = lambda message, *_where: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
         if isinstance(exc, (K33MinorError, NotTwoConnectedError)):
             print(f"unsupported graph class: {exc}", file=sys.stderr)

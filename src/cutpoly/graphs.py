@@ -122,10 +122,15 @@ class Graph:
         return Graph(self.node_count, kept)
 
     def reweighted(self, weights: Sequence[int]) -> "Graph":
+        """The graph with new weights, sharing adjacency and pair index."""
         if len(weights) != len(self.edges):
             raise GraphError("weight vector length mismatch")
-        return Graph(self.node_count,
-                     [(u, v, w) for (u, v, _), w in zip(self.edges, weights)])
+        g = object.__new__(Graph)
+        g.node_count, g._adj, g._pair_index = (self.node_count, self._adj,
+                                               self._pair_index)
+        g.edges = tuple((u, v, int(w))
+                        for (u, v, _), w in zip(self.edges, weights))
+        return g
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

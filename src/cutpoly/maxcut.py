@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graphs import (CertificationError, Cut, Graph, GraphError,
-                     NotTwoConnectedError, SizeLimitError, compact_graph,
+                     NotTwoConnectedError, SizeLimitError,
                      connected_components, cut_from_side, cut_weight,
                      is_k_connected)
 from . import planar as planar_mod
@@ -146,7 +146,7 @@ def planar_maxcut(g: Graph,
     """
     if not is_k_connected(g, 2):
         raise NotTwoConnectedError("planar_maxcut needs a 2-connected graph")
-    emb = planar_mod.planar_embed(g)
+    emb = planar_mod.embed_block(g)
     if emb is None:
         raise NonPlanarError("planar_maxcut needs a planar graph")
     (res,) = _embedded_maxcuts(emb, [forced])
@@ -210,16 +210,16 @@ class EliminationState:
     """Working state of one decomposed block during leaf elimination.
 
     Reads the block's SPR tree as built (`tree`) and each R skeleton's
-    class and embedding (`r_skeletons`, built once by `decompose_blocks`
-    and reused by every solve of that skeleton); neither is copied or
-    changed.  Each virtual pair id belongs to one bundle, named by a
-    representative pair id (`bundle`): the P skeleton at either end of the
-    pair, or else the pair itself.  `weight` holds each bundle's current
-    weight, which every virtual edge on it reads: first the P skeleton's
-    original edge weight (0 without one), then the gamma of the last leaf
-    eliminated onto it.  `adj` is the shrinking tree.  Node labels are
-    those of `block.graph`.  Mutated in place by eliminate(); finish()
-    solves the last skeleton and returns (value, node side set).
+    class, embedding and graph (`r_skeletons`, built once by
+    `decompose_blocks`); neither is copied or changed.  Each virtual pair
+    id belongs to one bundle, named by a representative pair id
+    (`bundle`): the P skeleton at either end of the pair, or else the
+    pair itself.  `weight` holds each bundle's current weight, which
+    every virtual edge on it reads: first the P skeleton's original edge
+    weight (0 without one), then the gamma of the last leaf eliminated
+    onto it.  `adj` is the shrinking tree.  Node labels are those of
+    `block.graph`.  Mutated in place by eliminate(); finish() solves the
+    last skeleton and returns (value, node side set).
     """
 
     def __init__(self, block: spqr_mod.Block):
@@ -258,20 +258,25 @@ class EliminationState:
 
     # -- solving one skeleton ----------------------------------------------
 
-    def _skeleton_graph(self, sid: int) -> tuple[Graph, dict[int, int]]:
-        """Skeleton `sid` compacted, with the label -> compact-id map;
-        virtual edges take the current weight of their bundle.  A
-        skeleton's nodes are sorted, so compact node i is `sn.nodes[i]`."""
+    def _skeleton_graph(self, sid: int) -> Graph:
+        """Skeleton `sid` as a graph (node i is `sn.nodes[i]`, edge j is
+        `sn.edges[j]`): an R skeleton's stored graph or an S cycle's,
+        checked against its pairs, with the bundles' weights put in."""
         sn = self.tree.node(sid)
-        return compact_graph(sn.nodes, [
-            (e.u, e.v, e.weight if e.kind == "orig"
-             else self.weight[self.bundle[e.ref]]) for e in sn.edges])
+        sg = (self.r_skeletons[sid][2] if sid in self.r_skeletons
+              else spqr_mod._skeleton_graph(sn)[0])
+        if [(sn.nodes[u], sn.nodes[v]) for u, v, _w in sg.edges] != [
+                e.endpoints() for e in sn.edges]:
+            raise CertificationError("skeleton edges left the embedding's order")
+        return sg.reweighted([e.weight if e.kind == "orig"
+                              else self.weight[self.bundle[e.ref]]
+                              for e in sn.edges])
 
     def _skeleton_cuts(self, sid: int,
-                       forced_virtuals: list[tuple[int, int, bool] | None],
+                       forceds: list[tuple[int, bool] | None],
                        ) -> list[tuple[int, frozenset[int]]]:
-        """Best cut of a skeleton graph once per entry of
-        `forced_virtuals`.  Returns (value, global node side) pairs.
+        """Best cut of a skeleton graph once per entry of `forceds` (None or
+        (skeleton edge index, in_cut)), as (value, global node side).
 
         A skeleton with at most MAX_ENUMERATED_NODES nodes takes every
         entry from one enumeration of its cuts, ties to the smallest side
@@ -292,10 +297,7 @@ class EliminationState:
         times faster.
         """
         sn = self.tree.node(sid)
-        sg, to_sub = self._skeleton_graph(sid)
-        forceds = [None if fv is None else
-                   (sg.edge_index(to_sub[fv[0]], to_sub[fv[1]]), fv[2])
-                   for fv in forced_virtuals]
+        sg = self._skeleton_graph(sid)
         if sg.node_count <= MAX_ENUMERATED_NODES:
             results = _enumerated_maxcuts(sg, forceds)
         else:
@@ -304,15 +306,15 @@ class EliminationState:
                 for res in results]
 
     def _embedding(self, sid: int, sg: Graph) -> planar_mod.Embedding:
-        """Embedding of skeleton `sid`, compacted as `sg`.  An R skeleton
+        """Embedding of skeleton `sid`, whose graph is `sg`.  An R skeleton
         reuses the embedding its classification built, which lists the
         same node pairs in the same order (the tree's skeleton edge
         order), so only the weights change.  An S cycle is embedded
         afresh; the solver embeds only skeletons with more than
         MAX_ENUMERATED_NODES nodes, so only S cycles that long are."""
         if sid not in self.r_skeletons:
-            return planar_mod.planar_embed(sg)
-        _cls, emb = self.r_skeletons[sid]
+            return planar_mod.embed_block(sg)
+        _cls, emb, _sg = self.r_skeletons[sid]
         if emb is None:
             raise NonPlanarError("skeleton is not planar")
         if [e[:2] for e in emb.graph.edges] != [e[:2] for e in sg.edges]:
@@ -327,13 +329,14 @@ class EliminationState:
             raise GraphError(f"node {leaf} is not an eliminable leaf")
         (nbr, pid), = self.adj[leaf].items()
         sn = self.tree.node(leaf)
-        ve = next((e for e in sn.virtuals() if e.ref == pid), None)
-        if ve is None:
+        j = next((j for j, e in enumerate(sn.edges)
+                  if e.kind == "virt" and e.ref == pid), None)
+        if j is None:
             raise CertificationError(
                 "leaf must hold a virtual edge for its tree edge")
-        a, b = ve.endpoints()
+        a, b = sn.edges[j].endpoints()
         (beta_plus, side_in), (beta_minus, side_out) = self._skeleton_cuts(
-            leaf, [(a, b, True), (a, b, False)])
+            leaf, [(j, True), (j, False)])
         gamma = beta_plus - beta_minus
         self.weight[self.bundle[pid]] = gamma
         self.base += beta_minus

@@ -33,9 +33,9 @@ def _block_has_minor(block: spqr_mod.Block, h: str) -> bool:
     """K5 or K33 minor in one decomposed block."""
     if h == "K33":
         return block.witness is not None
-    return any(cls == "K5" or (cls == "NonPlanar" and minor_exhaustive(
-        spqr_mod._skeleton_graph(block.tree.node(sid))[0], "K5"))
-        for sid, (cls, _emb) in block.r_skeletons.items())
+    return any(cls == "K5" or (cls == "NonPlanar"
+                               and minor_exhaustive(sg, "K5"))
+               for cls, _emb, sg in block.r_skeletons.values())
 
 
 def c4_minor_block(g: Graph) -> tuple[frozenset[int], tuple[int, ...]] | None:

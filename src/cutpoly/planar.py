@@ -19,7 +19,9 @@ by one of two methods, chosen by its shape alone:
   `planar_embed` need it.
 
 Both give node rotations; `_face_walks` walks their faces once and
-certifies the result by Euler's formula.
+certifies the result by Euler's formula.  Graphs known to be 2-connected
+(blocks and skeletons) enter through `embed_block`, which skips the
+connectivity sweep `planar_embed` runs on arbitrary input.
 """
 
 from __future__ import annotations
@@ -321,6 +323,12 @@ def _block_rotation(g: Graph) -> list[list[int]] | None:
     return None if faces is None else _rotation_from_faces(g, faces)
 
 
+def embed_block(g: Graph) -> Embedding | None:
+    """`planar_embed` of a graph known to be 2-connected, n >= 3."""
+    rot = _block_rotation(g)
+    return None if rot is None else Embedding(g, *_face_walks(g, rot))
+
+
 def planar_embed(g: Graph) -> Embedding | None:
     """Return a combinatorial embedding, or None if g is non-planar.
 
@@ -336,24 +344,21 @@ def planar_embed(g: Graph) -> Embedding | None:
     if len(g.edges) > 3 * g.node_count - 6 and g.node_count >= 3:
         return None
     if g.node_count >= 3 and not cut:
-        rot = _block_rotation(g)
-        if rot is None:
+        return embed_block(g)
+    rot = [[] for _ in range(g.node_count)]
+    for bnodes, bedges in blocks(g).blocks:
+        if len(bedges) == 1:
+            u, v, _w = g.edges[bedges[0]]
+            rot[u].append(v)
+            rot[v].append(u)
+            continue
+        bnodes = sorted(bnodes)
+        sub, _ = compact_graph(bnodes, [g.edges[i] for i in bedges])
+        sub_rot = _block_rotation(sub)
+        if sub_rot is None:
             return None
-    else:
-        rot = [[] for _ in range(g.node_count)]
-        for bnodes, bedges in blocks(g).blocks:
-            if len(bedges) == 1:
-                u, v, _w = g.edges[bedges[0]]
-                rot[u].append(v)
-                rot[v].append(u)
-                continue
-            bnodes = sorted(bnodes)
-            sub, _ = compact_graph(bnodes, [g.edges[i] for i in bedges])
-            sub_rot = _block_rotation(sub)
-            if sub_rot is None:
-                return None
-            for sv, orbit in enumerate(sub_rot):
-                rot[bnodes[sv]].extend(bnodes[su] for su in orbit)
+        for sv, orbit in enumerate(sub_rot):
+            rot[bnodes[sv]].extend(bnodes[su] for su in orbit)
     return Embedding(g, *_face_walks(g, rot))
 
 

@@ -8,9 +8,9 @@ triconnected components" (SIAM J. Comput. 1973), with the corrections of
 Gutwenger & Mutzel, "A linear time implementation of SPQR-trees" (GD
 2000).  The decomposition is unique, and `_build_tree` numbers it
 canonically, so the tree does not depend on how it was found.
-`decompose_blocks` builds it once per block of a graph, with the class of
-each R skeleton, for the minor tests, the MaxCut solver and the facet
-code to share.
+`decompose_blocks` builds it once per block of a graph, with the class,
+embedding and graph of each R skeleton, for the minor tests, the MaxCut
+solver and the facet code to share.
 
 Every tree is certified as it is built, by checks that raise
 `CertificationError` and so also run under `python -O`: the skeletons'
@@ -76,9 +76,9 @@ class SprTree:
 
 
 # the class of an R skeleton ("K5", "PlanarTriangulation", "Planar" or
-# "NonPlanar"), with the embedding of its skeleton graph that shows it
-# planar (None for K5 and non-planar skeletons)
-RClass = tuple[str, "planar_mod.Embedding | None"]
+# "NonPlanar"), the embedding of its skeleton graph that shows it planar
+# (None for K5 and non-planar skeletons), and that graph, built once
+RClass = tuple[str, "planar_mod.Embedding | None", Graph]
 
 
 def spr_tree(g: Graph) -> SprTree:
@@ -93,7 +93,7 @@ def spr_tree(g: Graph) -> SprTree:
 def _spr_tree(g: Graph) -> tuple[SprTree, dict[int, RClass]]:
     """`spr_tree` of a graph already known to be 2-connected with >= 3
     edges, with the class of each R skeleton by node id.  A graph that is
-    3-connected by its shape is one R skeleton, g itself."""
+    3-connected by its shape is one R skeleton, whose graph is g itself."""
     by_shape = _shape_class(g)
     if by_shape is None:
         return _tree(g.node_count, g.edges)
@@ -110,27 +110,25 @@ def _tree(node_count: int, edges) -> tuple[SprTree, dict[int, RClass]]:
 
 
 def _shape_class(sg: Graph) -> RClass | None:
-    """The class of a simple graph that is 3-connected by its shape alone:
-    K5-shaped (5 nodes, 10 edges: complete, so 4-connected), or
-    triangulation-shaped (m = 3n - 6, n >= 4) with an embedding, so
+    """The class of a simple 2-connected graph that is 3-connected by its
+    shape alone: K5-shaped (5 nodes, 10 edges: complete, so 4-connected),
+    or triangulation-shaped (m = 3n - 6, n >= 4) with an embedding, so
     maximal planar and 3-connected by Whitney's theorem; None otherwise.
-    The embedding is `planar_embed`'s contraction method, which refutes
-    a non-planar graph of this shape (a K5 around a degree-4 node, say)
-    by itself."""
+    The embedding is `embed_block`'s contraction method, which refutes a
+    non-planar graph of this shape (a K5 around a degree-4 node, say) by
+    itself."""
     n, m = sg.node_count, len(sg.edges)
     if n == 5 and m == 10:
-        return "K5", None
+        return "K5", None, sg
     if n < 4 or m != 3 * n - 6:
         return None
-    emb = planar_mod.planar_embed(sg)
-    return None if emb is None else ("PlanarTriangulation", emb)
+    emb = planar_mod.embed_block(sg)
+    return None if emb is None else ("PlanarTriangulation", emb, sg)
 
 
 def _r_class(sn: SkeletonNode) -> RClass:
-    """The class of an R skeleton, certified 3-connected by its shape
-    (`_shape_class`) or else by one sweep of each G-v of its graph."""
-    if len(sn.nodes) == 5 and len(sn.edges) == 10:
-        return "K5", None  # no graph needed
+    """The class and graph of an R skeleton, certified 3-connected by its
+    shape (`_shape_class`) or else by one sweep of each G-v."""
     sg, _ = _skeleton_graph(sn)
     by_shape = _shape_class(sg)
     if by_shape is not None:
@@ -139,10 +137,9 @@ def _r_class(sn: SkeletonNode) -> RClass:
         raise CertificationError("R skeleton is not 3-connected")
     # with m >= 3n - 6 and no shape certificate it holds a K5 or fails
     # to embed, or has too many edges to be planar
-    if len(sg.edges) >= 3 * sg.node_count - 6:
-        return "NonPlanar", None
-    emb = planar_mod.planar_embed(sg)
-    return ("NonPlanar", None) if emb is None else ("Planar", emb)
+    emb = (planar_mod.embed_block(sg)
+           if len(sg.edges) < 3 * sg.node_count - 6 else None)
+    return ("NonPlanar", None, sg) if emb is None else ("Planar", emb, sg)
 
 
 _EOS = (-1, -1, -1)  # end-of-segment mark on the triple stack
@@ -531,12 +528,15 @@ def _build_tree(edges, comps: list[tuple]
     the components were found: node ids by (smallest original ref, kind,
     nodes, edge pairs), pair ids by (sorted node pair, sorted pair of the
     two node ids).  So a skeleton's virtual edges, in pair-id order, are
-    in node-pair order, which its embedding reads."""
+    in node-pair order, which its embedding reads.  Original refs are
+    unique, so only all-virtual components need their edge pairs."""
     def sort_key(comp):
         kind, nodes, tagged = comp
-        origs = [t[1] for _u, _v, t in tagged if t[0] == "orig"]
-        return (min(origs, default=len(edges)), kind, tuple(nodes),
-                sorted((min(u, v), max(u, v)) for u, v, _t in tagged))
+        first = min((t[1] for _u, _v, t in tagged if t[0] == "orig"),
+                    default=len(edges))
+        key = (first, kind, nodes)
+        return key if first < len(edges) else (*key, sorted(
+            (min(u, v), max(u, v)) for u, v, _t in tagged))
 
     comps = sorted(comps, key=sort_key)
     owner: dict[int, list[int]] = {}
@@ -552,14 +552,18 @@ def _build_tree(edges, comps: list[tuple]
     canon = {pid: k for k, pid in enumerate(sorted(
         owner, key=lambda pid: (min(ends[pid]), sorted(owner[pid]))))}
     skel_nodes = []
+    held: list = [None] * len(edges)  # original i as held; () if twice
     for i, (kind, nodes, tagged) in enumerate(comps):
         # originals by index, then virtuals by pair id
-        skel_edges = sorted((SkelEdge(u, v, "orig", t[1], t[2])
-                             if t[0] == "orig" else
-                             SkelEdge(u, v, "virt", canon[t[1]])
-                             for u, v, t in tagged),
-                            key=lambda e: (e.kind != "orig", e.ref))
-        sn = SkeletonNode(i, kind, tuple(nodes), tuple(skel_edges))
+        origs = sorted((t[1], u, v, t[2]) for u, v, t in tagged
+                       if t[0] == "orig")
+        virts = sorted((canon[t[1]], u, v) for u, v, t in tagged
+                       if t[0] == "virt")
+        for ref, u, v, w in origs:
+            held[ref] = (u, v, w) if held[ref] is None else ()
+        sn = SkeletonNode(i, kind, tuple(nodes), tuple(
+            [SkelEdge(u, v, "orig", ref, w) for ref, u, v, w in origs]
+            + [SkelEdge(u, v, "virt", pid) for pid, u, v in virts]))
         _check_shape(sn)
         skel_nodes.append(sn)
     tree_edges = [(*sorted(owner[pid]), canon[pid])
@@ -570,9 +574,7 @@ def _build_tree(edges, comps: list[tuple]
     if any(skel_nodes[a].kind == skel_nodes[b].kind in ("S", "P")
            for a, b, _pid in tree_edges):
         raise CertificationError("same-kind adjacency")
-    if sorted((e.ref, e.u, e.v, e.weight) for sn in skel_nodes
-              for e in sn.originals()) != [
-                  (i, u, v, w) for i, (u, v, w) in enumerate(edges)]:
+    if held != list(edges):
         raise CertificationError("skeletons must recompose the input")
     return (SprTree(tuple(skel_nodes), tuple(tree_edges)),
             {sn.id: _r_class(sn)
@@ -684,11 +686,13 @@ def _skeleton_graph(sn: SkeletonNode) -> tuple[Graph, dict[int, int]]:
 class Block:
     """One block of a graph, decomposed once for every consumer.
 
-    `graph` is the block on nodes 0..k-1: its node i is node `nodes[i]` of
-    the graph and its edge j is edge `edges[j]`.  `tree` is its SPR-tree
-    (None for a single-edge block) and `r_skeletons` maps each R skeleton
-    id to its class and the embedding of `_skeleton_graph` of it that
-    shows it planar (None for K5 and non-planar skeletons).
+    `graph` is the block on nodes 0..k-1 (g itself when g is one block):
+    its node i is node `nodes[i]` of g and its edge j is edge `edges[j]`.
+    `tree` is its SPR-tree (None for a single-edge block) and
+    `r_skeletons` maps each R skeleton id to its class, the embedding that
+    shows it planar (None for K5 and non-planar skeletons) and its graph,
+    `_skeleton_graph` of it (`graph` for a block that is one R skeleton),
+    built once by classification for every later consumer.
     """
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
@@ -710,7 +714,7 @@ class Block:
     def witness(self) -> SkeletonNode | None:
         """The first non-planar, non-K5 R skeleton (it carries a K33
         minor), relabelled; None when the block is K33-minor-free."""
-        sid = next((sid for sid, (cls, _emb) in self.r_skeletons.items()
+        sid = next((sid for sid, (cls, _emb, _sg) in self.r_skeletons.items()
                     if cls == "NonPlanar"), None)
         return None if sid is None else self.relabel(self.tree.node(sid))
 
@@ -721,7 +725,10 @@ def decompose_blocks(g: Graph) -> tuple[Block, ...]:
     out = []
     for bnodes, bedges in blocks(g).blocks:
         nodes = tuple(sorted(bnodes))
-        sub, _ = compact_graph(nodes, [g.edges[i] for i in bedges])
+        if len(nodes) == g.node_count and len(bedges) == len(g.edges):
+            sub = g  # g is one block, so it is its own compaction
+        else:
+            sub, _ = compact_graph(nodes, [g.edges[i] for i in bedges])
         # a block of >= 3 edges is 2-connected, so it skips spr_tree's check
         tree, r_skeletons = _spr_tree(sub) if len(bedges) >= 3 else (None, {})
         out.append(Block(nodes, bedges, sub, tree, r_skeletons))
@@ -843,7 +850,7 @@ def _completion(block: Block) -> tuple[list[tuple[int, int]], list[_Piece]]:
     pieces = []
     for sn in block.tree.nodes:
         pairs = [e.endpoints() for e in sn.edges]
-        cls, emb = block.r_skeletons.get(sn.id, (sn.kind, None))
+        cls, emb, _sg = block.r_skeletons.get(sn.id, (sn.kind, None, None))
         if sn.kind == "S" and len(sn.nodes) >= 4:
             v0, *rest = _cycle_order(sn)  # starts at the minimum node
             added += [(v0, x) for x in rest[1:-1]]

@@ -97,7 +97,7 @@ class FrozenElimination:
         renumbered through node pairs; an S cycle embedded afresh."""
         if sid not in self.r_skeletons:
             return planar_embed(sg)
-        _cls, emb = self.r_skeletons[sid]
+        _cls, emb, _sg = self.r_skeletons[sid]
         if emb is None:
             raise NonPlanarError("skeleton is not planar")
         pairs = emb.graph.edges

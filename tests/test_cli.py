@@ -78,6 +78,23 @@ def test_classify_command(tmp_path, capsys):
     assert lines[1].startswith("reason ") and lines[3].startswith("reason ")
 
 
+@pytest.mark.parametrize("command, out", [
+    ("classify", ["simple yes", "reason every block is an edge or a triangle",
+                  "simplicial yes", "reason isomorphic to K2"]),
+    ("verify", ["maxcut ok value 5", "facets ok count 2",
+                "classify ok simple=yes simplicial=yes"])])
+def test_isolated_node_warning_is_one_line(command, out, tmp_path):
+    """In a fresh process, with Python's own warning display, an isolated
+    node costs one line of stderr and changes neither stdout nor the exit
+    code."""
+    f = tmp_path / "isolated.cut"
+    f.write_text("p cut 3 1\ne 1 2 5\n")
+    proc = run_python("-m", "cutpoly.cli", command, str(f))
+    assert proc.returncode == 0 and proc.stdout.splitlines() == out
+    assert proc.stderr == \
+        "warning: isolated nodes dropped before classification\n"
+
+
 def test_verify_ok_and_facet_file_round_trip(k5_file, tmp_path, capsys):
     code, out, _ = run_cli(["verify", k5_file], capsys)
     assert code == 0
@@ -285,8 +302,8 @@ def test_spr_checks_raise_without_asserts(flags):
 # relies on, each broken on a fresh state of a 3-piece strict 2-sum
 ELIMINATION_INVARIANTS = """
 import importlib
-from cutpoly import (CertificationError, GeneratorSpec, decompose_blocks,
-                     gen_k33free)
+from cutpoly import (CertificationError, GeneratorSpec, Graph,
+                     decompose_blocks, gen_k33free)
 from cutpoly.maxcut import EliminationState
 maxcut_mod = importlib.import_module("cutpoly.maxcut")
 (block,) = decompose_blocks(gen_k33free(GeneratorSpec(seed=1,
@@ -311,8 +328,16 @@ def side_breaking_the_forced_edge(s):
     finally:
         maxcut_mod._best_sides = real
 
+def stored_graph_out_of_order(s):
+    # an R skeleton's stored graph listing its pairs in reverse
+    sid, (cls, emb, sg) = next(iter(s.r_skeletons.items()))
+    s.r_skeletons = {**s.r_skeletons,
+                     sid: (cls, emb, Graph(sg.node_count, sg.edges[::-1]))}
+    s.run()
+
 for breaking in (tree_edge_without_virtual, EliminationState.finish,
-                 no_leaf, side_breaking_the_forced_edge):
+                 no_leaf, side_breaking_the_forced_edge,
+                 stored_graph_out_of_order):
     try:
         breaking(EliminationState(block))
     except CertificationError as exc:
@@ -328,7 +353,8 @@ def test_elimination_invariants_raise_without_asserts(flags):
         "leaf must hold a virtual edge for its tree edge",
         "finish() before the tree is down to one node",
         "tree with >1 node must have an S/R leaf",
-        "witness does not respect the forced edge"]
+        "witness does not respect the forced edge",
+        "skeleton edges left the embedding's order"]
 
 
 # classify's non-simplicity certificate needs every chordless cycle: C4

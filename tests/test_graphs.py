@@ -4,14 +4,33 @@ import sys
 
 import pytest
 
-from cutpoly import (DuplicateEdgeError, Graph, NodeRangeError,
+from cutpoly import (DuplicateEdgeError, Graph, GraphError, NodeRangeError,
                      NotTwoConnectedError, ParseError, SelfLoopError,
                      SizeLimitError, blocks, chordless_cycles, cut_from_side,
                      cut_weight, ear_decomposition, enumerate_cuts,
                      format_graph, is_connected, is_k_connected, k5_subgraphs,
                      parse_graph, triangles)
 from cutpoly.cli import main
-from helpers import complete, cycle, path, random_graph
+from helpers import complete, cycle, path, random_graph, shape_corpus
+
+
+def test_reweighted_shares_topology_of_a_fresh_graph():
+    """`reweighted` skips the checks and sorting of a fresh Graph; on the
+    generated corpus it is that fresh Graph in every accessor."""
+    for k, g in enumerate(shape_corpus()):
+        rnd = random.Random(k)
+        ws = [rnd.randint(-9, 9) for _ in g.edges]
+        got = g.reweighted(ws)
+        fresh = Graph(g.node_count,
+                      [(u, v, w) for (u, v, _), w in zip(g.edges, ws)])
+        assert got.edges == fresh.edges and got == fresh
+        assert hash(got) == hash(fresh)
+        assert all(got.neighbors(v) == fresh.neighbors(v)
+                   for v in range(g.node_count))
+        assert all(got.edge_index(u, v) == fresh.edge_index(v, u) == i
+                   for i, (u, v, _w) in enumerate(g.edges))
+        with pytest.raises(GraphError):
+            g.reweighted(ws[1:])
 
 
 # -- parsing ----------------------------------------------------------------

@@ -177,9 +177,9 @@ def test_enumerated_skeletons_match_bruteforce_and_tjoin():
     on the skeleton's embedding where it has one."""
     checked = Counter()
 
-    def check(state, sid, skeleton, pinned, got):
+    def check(state, sid, sg, pinned, got):
         sn = state.tree.node(sid)
-        sg, to_sub = skeleton
+        to_sub = {x: i for i, x in enumerate(sn.nodes)}
         forceds = [fv and (sg.edge_index(to_sub[fv[0]], to_sub[fv[1]]), fv[2])
                    for fv in pinned]
         brute = [maxcut_bruteforce(sg, forced) for forced in forceds]

@@ -129,8 +129,9 @@ def test_spr_r_skeletons_are_3_connected_per_networkx():
             else:
                 assert nx.node_connectivity(h) >= 3, sn
             proved.add(shape)
-            cls, emb = r_skeletons[sn.id]
+            cls, emb, stored = r_skeletons[sn.id]
             counts[cls] += 1
+            assert stored == sg, sn
             assert cls != "NonPlanar" or not nx.check_planarity(h)[0], sn
             assert (emb is None) == (cls in ("K5", "NonPlanar")), sn
             assert emb is None or emb.graph == sg

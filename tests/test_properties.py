@@ -111,7 +111,7 @@ def test_planarity_matches_networkx(g):
     planar = nx.check_planarity(h)[0]
     assert (planar_embed(g) is not None) == planar
     assert all(emb is not None for block in decompose_blocks(g)
-               for _cls, emb in block.r_skeletons.values()) == planar
+               for _cls, emb, _sg in block.r_skeletons.values()) == planar
 
 
 @hypothesis.given(simple_graphs())

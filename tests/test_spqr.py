@@ -317,10 +317,11 @@ def test_shape_certified_skeletons_are_3_connected(tmp_path, capsys,
         monkeypatch.undo()
         shaped = []
         for b in blocks_:
-            for sid, (cls, emb) in b.r_skeletons.items():
+            for sid, (cls, emb, stored) in b.r_skeletons.items():
                 if cls not in checked:
                     continue
                 sg, _ = _skeleton_graph(b.tree.node(sid))
+                assert stored == sg
                 assert is_k_connected(sg, 3)
                 if cls == "K5":
                     assert emb is None
@@ -350,7 +351,7 @@ def test_k5_around_a_degree_4_node_is_non_planar():
     for h, kinds in ((g, ["NonPlanar"]),
                      (summed, ["NonPlanar", "PlanarTriangulation"])):
         (block,) = decompose_blocks(h)
-        classes = {sid: cls for sid, (cls, _emb)
+        classes = {sid: cls for sid, (cls, _emb, _sg)
                    in block.r_skeletons.items()}
         assert sorted(classes.values()) == kinds
         assert block.witness is not None

@@ -614,19 +614,22 @@ def test_shared_embedding_gives_fresh_betas(monkeypatch):
 
 
 def test_one_embedding_per_planar_skeleton(monkeypatch):
-    calls = []
-    real = planar_mod.planar_embed
+    """Decomposition and elimination embed each planar R skeleton once,
+    through the block entry, and never through `planar_embed`."""
+    calls, whole = [], []
+    real = planar_mod.embed_block
 
     def count(g):
         calls.append(g.node_count)
         return real(g)
 
-    monkeypatch.setattr(planar_mod, "planar_embed", count)
+    monkeypatch.setattr(planar_mod, "embed_block", count)
+    monkeypatch.setattr(planar_mod, "planar_embed", whole.append)
     for seed in range(4):
         g = gen_k33free(GeneratorSpec(seed=seed, component_count=6))
         calls.clear()
         state = maxcut_mod.EliminationState(decompose_blocks(g)[0])
-        planar = [sid for sid, (cls, _e) in state.r_skeletons.items()
+        planar = [sid for sid, (cls, _e, _sg) in state.r_skeletons.items()
                   if cls != "K5"]
         state.run()
-        assert len(calls) == len(planar)
+        assert len(calls) == len(planar) and not whole

@@ -15,8 +15,8 @@ from cutpoly import graphs as graphs_mod
 from cutpoly import planar as planar_mod
 from cutpoly import polytope, spqr
 from cutpoly import tjoin as tjoin_mod
-from helpers import (complete, perfbench_module, stacked_triangulation,
-                     triangulation, verify_small_pool)
+from helpers import (complete, decomposed, perfbench_module,
+                     stacked_triangulation, triangulation, verify_small_pool)
 
 SIZES = (24, 80)
 maxcut_mod = importlib.import_module("cutpoly.maxcut")  # `maxcut` is the function
@@ -36,13 +36,13 @@ def counting(monkeypatch, owner, name, log):
 def tree_work(monkeypatch, build, g):
     """Run build(g) and count its work: the lowpoint passes by masked
     node ([None] for a sweep of G itself, [] for a block split), the
-    `blocks` calls, the Graphs built, and every embedding attempt, failed
-    ones included."""
+    `blocks` calls, the Graphs built, and every embedding attempt through
+    the block entry, failed ones included."""
     work = {"passes": [], "blocks": [], "graphs": [], "embeds": []}
     counting(monkeypatch, Graph, "__init__", work["graphs"])
     counting(monkeypatch, graphs_mod, "_lowpoint", work["passes"])
     counting(monkeypatch, spqr, "blocks", work["blocks"])
-    counting(monkeypatch, planar_mod, "planar_embed", work["embeds"])
+    counting(monkeypatch, planar_mod, "embed_block", work["embeds"])
     result = build(g)
     work["passes"] = [mask for _adj, *mask in work["passes"]]
     work["embeds"] = [h for (h,) in work["embeds"]]
@@ -55,19 +55,22 @@ def test_spr_tree_of_triangulation_sweeps_once(n, monkeypatch):
     """A 3-connected stacked triangulation is one R skeleton, certified by
     its shape without the triconnected-components pass: the tree costs
     one sweep of G to prove it 2-connected and one embedding of G itself
-    (the embedding checks its own input with one more sweep of G), builds
-    no Graph and sweeps no G-v.  `decompose_blocks` proves
-    2-connectivity by its block split instead and keeps the embedding."""
+    through the block entry, which sweeps nothing; it builds no Graph and
+    sweeps no G-v.  `decompose_blocks` proves 2-connectivity by its block
+    split instead, keeps G itself as the block's graph and the skeleton's,
+    and keeps the embedding."""
     g = stacked_triangulation(n, random.Random(n))
     assert is_k_connected(g, 3)
     tree, work = tree_work(monkeypatch, spr_tree, g)
     assert [sn.kind for sn in tree.nodes] == ["R"]
-    assert work["passes"] == [[None], [None]] and not work["blocks"]
+    assert work["passes"] == [[None]] and not work["blocks"]
     assert not work["graphs"] and work["embeds"] == [g]
     (block,), work = tree_work(monkeypatch, decompose_blocks, g)
     assert [sn.kind for sn in block.tree.nodes] == ["R"]
-    assert work["passes"] == [[], [None]] and len(work["blocks"]) == 1
-    assert work["embeds"] == [g] and block.r_skeletons[0][1].graph == g
+    assert work["passes"] == [[]] and len(work["blocks"]) == 1
+    assert not work["graphs"] and work["embeds"] == [g]
+    _cls, emb, sg = block.r_skeletons[0]
+    assert block.graph is sg is emb.graph is g
 
 
 def test_spr_tree_of_k5_sweeps_no_g_minus_v(monkeypatch):
@@ -80,8 +83,31 @@ def test_spr_tree_of_k5_sweeps_no_g_minus_v(monkeypatch):
     assert work == {"passes": [[None]], "blocks": [], "graphs": [],
                     "embeds": []}
     (block,), work = tree_work(monkeypatch, decompose_blocks, g)
-    assert block.r_skeletons == {0: ("K5", None)}
+    assert block.r_skeletons == {0: ("K5", None, g)}
     assert work["passes"] == [[]] and not work["embeds"]
+    assert not work["graphs"] and block.r_skeletons[0][2] is g
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_maxcut_builds_each_graph_once(n, monkeypatch):
+    """`maxcut` on a chain of n // 8 pieces and on a stacked triangulation
+    of n nodes, each one block, builds no Graph for the block (it is g
+    itself) and one for each S and R skeleton, the one its classification
+    or its solve reads, and none for a skeleton that is the whole block;
+    the block split is its only lowpoint pass."""
+    chain = gen_k33free(GeneratorSpec(seed=n, component_count=n // 8))
+    tri = stacked_triangulation(n, random.Random(n))
+    built = []
+    for g in (chain, tri):
+        _result, work = tree_work(monkeypatch, maxcut, g)
+        (block,) = decomposed(g)
+        expected = [] if len(block.tree.nodes) == 1 else [
+            spqr._skeleton_graph(sn)[0].edges for sn in block.tree.nodes
+            if sn.kind != "P"]
+        assert sorted(h.edges for h, *_ in work["graphs"]) == sorted(expected)
+        assert work["passes"] == [[]]
+        built.append(len(expected))
+    assert built[0] >= n // 8 and built[1] == 0
 
 
 @pytest.mark.parametrize("n", SIZES)
