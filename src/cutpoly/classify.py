@@ -2,18 +2,20 @@
 
 Simplicity is equivalent to having no C4 minor (every block an edge or a
 triangle).  Simplicial cut polytopes exist for exactly six graphs; with
-five or more non-isolated nodes the polytope is never simplicial.  Both
-verdicts are also computable geometrically from the hull oracle.
+five or more non-isolated nodes the polytope is never simplicial.  Once
+isolated nodes are dropped, each of the six is the only graph with its
+sorted degree sequence, so a lookup on that sequence decides membership.
+Both verdicts are also computable geometrically from the hull oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
 from .graphs import CertificationError, Graph, SizeLimitError, blocks, \
-    chordless_cycles, compact_graph, connected_components, cut_vectors
+    chordless_cycles, compact_graph, connected_components, cut_vectors, \
+    triangles
 from .minors import c4_minor_block
 from .polytope import LinearInequality, brute_hull
 
@@ -30,27 +32,16 @@ class ClassificationReport:
         default=(), repr=False)
 
 
-# the six graphs with simplicial cut polytopes, up to isomorphism
-_SIMPLICIAL = (
-    ("K2", 2, ((0, 1),)),
-    ("K2 + K2 (disjoint)", 4, ((0, 1), (2, 3))),
-    ("K2 1-sum K2 (path)", 3, ((0, 1), (1, 2))),
-    ("K3", 3, ((0, 1), (0, 2), (1, 2))),
-    ("K4", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
-    ("C4", 4, ((0, 1), (1, 2), (2, 3), (0, 3))),
-)
-
-
-def _isomorphic_small(g: Graph, n: int, pairs) -> bool:
-    if g.node_count != n or len(g.edges) != len(pairs):
-        return False
-    target = {(min(a, b), max(a, b)) for a, b in pairs}
-    mine = {(u, v) for u, v, _w in g.edges}
-    for perm in itertools.permutations(range(n)):
-        if {(min(perm[u], perm[v]), max(perm[u], perm[v]))
-                for u, v in mine} == target:
-            return True
-    return False
+# the six graphs with simplicial cut polytopes, by sorted degree sequence:
+# without isolated nodes, each is the only simple graph with its sequence
+_SIMPLICIAL = {
+    (1, 1): "K2",
+    (1, 1, 1, 1): "K2 + K2 (disjoint)",
+    (1, 1, 2): "K2 1-sum K2 (path)",
+    (2, 2, 2): "K3",
+    (3, 3, 3, 3): "K4",
+    (2, 2, 2, 2): "C4",
+}
 
 
 def _drop_isolated(g: Graph) -> Graph:
@@ -82,17 +73,15 @@ def classify(g: Graph) -> ClassificationReport:
         if not blocks(g).cut_nodes and len(connected_components(g)) == 1:
             certificate = _non_simplicity_certificate(g)
 
-    simplicial = False
+    name = _SIMPLICIAL.get(tuple(sorted(map(g.degree, range(g.node_count)))))
+    simplicial = name is not None
     simplicial_reason = "five or more non-isolated nodes" \
         if g.node_count >= 5 else "not among the six simplicial graphs"
     case = None
-    for name, n, pairs in _SIMPLICIAL:
-        if _isomorphic_small(g, n, pairs):
-            simplicial = True
-            simplicial_reason = f"isomorphic to {name}"
-            break
-    if not simplicial and g.node_count <= 4 and len(connected_components(g)) == 1:
-        case = "b" if any(True for _ in _triangle_iter(g)) else "a"
+    if simplicial:
+        simplicial_reason = f"isomorphic to {name}"
+    elif g.node_count <= 4 and len(connected_components(g)) == 1:
+        case = "b" if triangles(g) else "a"
         kind = ("a facet with too many vertices via a triangle-free edge bound"
                 if case == "a" else
                 "a facet with too many vertices via a triangle inequality")
@@ -100,13 +89,6 @@ def classify(g: Graph) -> ClassificationReport:
     return ClassificationReport(simple, simplicial, simple_reason,
                                 simplicial_reason, case, c4_witness,
                                 certificate)
-
-
-def _triangle_iter(g: Graph):
-    for u, v, _w in g.edges:
-        for x, _i in g.neighbors(u):
-            if x != v and g.has_edge(v, x):
-                yield (u, v, x)
 
 
 def _non_simplicity_certificate(g: Graph) -> tuple[LinearInequality, ...]:

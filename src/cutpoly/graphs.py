@@ -524,25 +524,19 @@ class Cut:
     indicator: int
 
     def side_nodes(self) -> tuple[int, ...]:
-        s, out, v = self.side, [], 0
-        while s:
-            if s & 1:
-                out.append(v)
-            s >>= 1
-            v += 1
-        return tuple(out)
+        return _bits(self.side)
 
     def edge_indices(self) -> tuple[int, ...]:
-        s, out, i = self.indicator, [], 0
-        while s:
-            if s & 1:
-                out.append(i)
-            s >>= 1
-            i += 1
-        return tuple(out)
+        return _bits(self.indicator)
 
     def vector(self, num_edges: int) -> tuple[int, ...]:
         return tuple((self.indicator >> i) & 1 for i in range(num_edges))
+
+
+def _bits(x: int) -> tuple[int, ...]:
+    """Positions of the set bits of x >= 0, ascending (from a list: a
+    generator here raised the peak RSS of long `maxcut` runs)."""
+    return tuple([i for i in range(x.bit_length()) if x >> i & 1])
 
 
 def _node_edge_masks(g: Graph) -> list[int]:
@@ -562,16 +556,8 @@ def cut_from_side(g: Graph, side: Iterable[int]) -> Cut:
         mask |= 1 << v
     if mask & 1:
         mask = ((1 << g.node_count) - 1) & ~mask
-    masks = _node_edge_masks(g)
-    ind = 0
-    m = mask
-    v = 0
-    while m:
-        if m & 1:
-            ind ^= masks[v]
-        m >>= 1
-        v += 1
-    return Cut(mask, ind)
+    return Cut(mask, sum(1 << i for i, (u, v, _w) in enumerate(g.edges)
+                         if (mask >> u ^ mask >> v) & 1))
 
 
 def cut_weight(g: Graph, cut: Cut) -> int:

@@ -2,12 +2,12 @@
 
 Three layers: a brute-force oracle (cut enumeration), a planar solver
 (maximum cut = total weight minus a minimum T-join in the dual), and the
-main solver for K33-minor-free graphs, which eliminates leaves of the
-SPR tree as built, one at a time (Barahona, ORL 1983).  Each leaf
-contributes the best cut value with its virtual edge forced in (beta+)
-and forced out (beta-); the difference is charged to the bundle of the
-pair it shares with the rest of the tree (the P skeleton on that pair,
-or the pair itself), no weight-0 edge is inserted, and the leaf is
+main solver for K33-minor-free graphs, `maxcut(g)`, which eliminates
+leaves of the SPR tree as built, lowest id first (Barahona, ORL 1983).
+Each leaf contributes the best cut value with its virtual edge forced in
+(beta+) and forced out (beta-); the difference is charged to the bundle
+of the pair it shares with the rest of the tree (the P skeleton on that
+pair, or the pair itself), no weight-0 edge is inserted, and the leaf is
 removed.  A skeleton with at most MAX_ENUMERATED_NODES nodes (every K5,
 and every small S cycle or planar R skeleton) is solved by the
 oracle's enumeration, which yields beta+ and beta- from one pass over
@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graphs import (CertificationError, Cut, Graph, GraphError,
-                     NotTwoConnectedError, SizeLimitError,
-                     connected_components, cut_from_side, cut_weight,
-                     is_k_connected)
+                     NotTwoConnectedError, SizeLimitError, cut_from_side,
+                     cut_weight, is_k_connected)
 from . import planar as planar_mod
 from . import spqr as spqr_mod
 from . import tjoin as tjoin_mod
@@ -70,8 +69,14 @@ def maxcut_bruteforce(g: Graph,
     (node v is bit v; node 0 is never in the side), the order of
     `enumerate_cuts`.
     """
+    _check_forced(g, forced)
     (res,) = _enumerated_maxcuts(g, [forced])
     return res
+
+
+def _check_forced(g: Graph, forced: tuple[int, bool] | None) -> None:
+    if forced is not None and not 0 <= forced[0] < len(g.edges):
+        raise GraphError(f"forced edge index {forced[0]} is not an edge of g")
 
 
 def _enumerated_maxcuts(g: Graph, forceds: list[tuple[int, bool] | None],
@@ -144,6 +149,7 @@ def planar_maxcut(g: Graph,
     of odd-degree dual nodes.  `forced` = (edge index, in_cut) pins one
     edge by a big-M weight shift (M = 1 + sum |w|), corrected afterwards.
     """
+    _check_forced(g, forced)
     if not is_k_connected(g, 2):
         raise NotTwoConnectedError("planar_maxcut needs a 2-connected graph")
     emb = planar_mod.embed_block(g)
@@ -188,8 +194,9 @@ def _embedded_maxcuts(emb: planar_mod.Embedding,
 def _two_color(g: Graph, cut_edges: set[int]) -> Cut:
     """Recover a node side from a consistent crossing-edge set."""
     color = [-1] * g.node_count
-    for comp in connected_components(g):
-        root = comp[0]
+    for root in range(g.node_count):
+        if color[root] != -1:
+            continue
         color[root] = 0
         stack = [root]
         while stack:
@@ -395,16 +402,16 @@ class EliminationState:
         return self.finish()
 
 
-def maxcut(g: Graph, order=None) -> MaxCutResult:
+def maxcut(g: Graph) -> MaxCutResult:
     """Exact MaxCut for K33-minor-free graphs (block split + elimination).
 
     Raises K33MinorError, carrying the offending R skeleton, otherwise.
     """
-    return _decomposed_maxcut(g, spqr_mod.decompose_blocks(g), order)
+    return _decomposed_maxcut(g, spqr_mod.decompose_blocks(g))
 
 
-def _decomposed_maxcut(g: Graph, decomposition: tuple[spqr_mod.Block, ...],
-                       order=None) -> MaxCutResult:
+def _decomposed_maxcut(g: Graph, decomposition: tuple[spqr_mod.Block, ...]
+                       ) -> MaxCutResult:
     """`maxcut` of g, given `decompose_blocks(g)`."""
     witness = spqr_mod._first_witness(decomposition)
     if witness is not None:
@@ -419,7 +426,7 @@ def _decomposed_maxcut(g: Graph, decomposition: tuple[spqr_mod.Block, ...],
         block = next((b for b in pending if placed.intersection(b.nodes)),
                      pending[0])
         pending.remove(block)
-        value, local = _solve_block(block, order)
+        value, local = _solve_block(block)
         total += value
         anchor = next((v for v in block.nodes if v in placed), None)
         if anchor is not None and local[anchor] != assign[anchor]:
@@ -432,9 +439,9 @@ def _decomposed_maxcut(g: Graph, decomposition: tuple[spqr_mod.Block, ...],
     return _certified(g, total, cut, None)
 
 
-def _solve_block(block: spqr_mod.Block, order) -> tuple[int, dict[int, int]]:
+def _solve_block(block: spqr_mod.Block) -> tuple[int, dict[int, int]]:
     if block.tree is None:
         (u, v), w = block.nodes, block.graph.edges[0][2]
         return (w, {u: 0, v: 1}) if w > 0 else (0, {u: 0, v: 0})
-    value, local = EliminationState(block).run(order)
+    value, local = EliminationState(block).run()
     return value, {block.nodes[v]: c for v, c in local.items()}

@@ -539,11 +539,11 @@ def _maximal_k33free_facets(g: Graph, pieces) -> list[LinearInequality]:
                 ineqs.extend(metric_inequalities(sub, tri_idx))
         else:
             ineqs = _edge_cycle_facets(sub)
+        cols = [g.edge_index(nodes[su], nodes[sv]) for su, sv, _w in sub.edges]
         for q in ineqs:
             coeffs = [0] * len(g.edges)
-            for j, c in enumerate(q.coeffs):
-                su, sv, _w = sub.edges[j]
-                coeffs[g.edge_index(nodes[su], nodes[sv])] = c
+            for j, c in zip(cols, q.coeffs):
+                coeffs[j] = c
             out.append(LinearInequality.canonical(coeffs, q.rhs))
     return out
 

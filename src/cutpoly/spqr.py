@@ -25,12 +25,14 @@ embedding is the skeleton's only one, found by edge contraction (see
 `planar`), which also refutes every non-planar skeleton of this shape.
 Any other R skeleton is certified by one sweep of each G-v.  A block of
 either shape is one R skeleton as it stands, and skips the pass.
+`augment_with_parallel_originals`, the first step of completion, copies
+only the skeletons it changes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import (CertificationError, Graph, GraphError,
                      NotTwoConnectedError, blocks, compact_graph,
@@ -620,59 +622,40 @@ def augment_with_parallel_originals(g: Graph, t: SprTree) -> tuple[Graph, SprTre
     original: all-virtual P skeletons gain one, in node order, and then
     every tree edge between two non-P nodes, in sorted order, is
     subdivided by a fresh P node carrying one.  The first step of
-    `maximal_completion`."""
+    `maximal_completion`.  Untouched skeletons are shared with t, whose
+    node ids must be 0..N-1 in order, as built; new P nodes take N, N+1,
+    ... and new pair ids follow t's largest."""
+    nodes = list(t.nodes)
+    if [sn.id for sn in nodes] != list(range(len(nodes))):
+        raise GraphError("SPR-tree node ids must be 0..N-1 in order")
     new_edges = list(g.edges)
-    skels: dict[int, dict] = {
-        sn.id: {"kind": sn.kind, "nodes": list(sn.nodes), "edges": list(sn.edges)}
-        for sn in t.nodes}
-    tree_edges = list(t.tree_edges)
-    next_id = max(skels) + 1 if skels else 0
-    next_pid = max((pid for _a, _b, pid in tree_edges), default=-1) + 1
-
-    for sid in sorted(skels):
-        sk = skels[sid]
-        if sk["kind"] == "P" and not any(e.kind == "orig" for e in sk["edges"]):
-            a, b = sk["nodes"][0], sk["nodes"][1]
-            if a > b:
-                a, b = b, a
-            idx = len(new_edges)
+    for i, sn in enumerate(t.nodes):
+        if sn.kind == "P" and not sn.originals():
+            a, b = sorted(sn.nodes)
             new_edges.append((a, b, 0))
-            sk["edges"].append(SkelEdge(a, b, "orig", idx, 0))
-
-    for a, b, pid in sorted(tree_edges):
-        if skels[a]["kind"] == "P" or skels[b]["kind"] == "P":
+            nodes[i] = replace(sn, edges=sn.edges + (
+                SkelEdge(a, b, "orig", len(new_edges) - 1),))
+    tree_edges = []
+    next_pid = max((pid for _a, _b, pid in t.tree_edges), default=-1) + 1
+    for a, b, pid in sorted(t.tree_edges):
+        if "P" in (nodes[a].kind, nodes[b].kind):
+            tree_edges.append((a, b, pid))
             continue
-        ea = next(e for e in skels[a]["edges"] if e.kind == "virt" and e.ref == pid)
-        u, v = ea.endpoints()
-        idx = len(new_edges)
+        u, v = next(e for e in nodes[a].virtuals() if e.ref == pid).endpoints()
         new_edges.append((u, v, 0))
-        pid_a, pid_b = next_pid, next_pid + 1
-        next_pid += 2
-        skels[a]["edges"] = [
-            SkelEdge(e.u, e.v, "virt", pid_a, 0) if e.kind == "virt" and e.ref == pid else e
-            for e in skels[a]["edges"]]
-        skels[b]["edges"] = [
-            SkelEdge(e.u, e.v, "virt", pid_b, 0) if e.kind == "virt" and e.ref == pid else e
-            for e in skels[b]["edges"]]
-        skels[next_id] = {"kind": "P", "nodes": [u, v], "edges": [
-            SkelEdge(u, v, "orig", idx, 0),
-            SkelEdge(u, v, "virt", pid_a, 0),
-            SkelEdge(u, v, "virt", pid_b, 0)]}
-        tree_edges.remove((a, b, pid))
-        tree_edges.append((min(a, next_id), max(a, next_id), pid_a))
-        tree_edges.append((min(b, next_id), max(b, next_id), pid_b))
-        next_id += 1
-
-    new_g = Graph(g.node_count, new_edges)
-    nodes = tuple(SkeletonNode(i, skels[i]["kind"], tuple(skels[i]["nodes"]),
-                               tuple(skels[i]["edges"]))
-                  for i in sorted(skels))
-    remap = {sn.id: k for k, sn in enumerate(nodes)}
-    nodes = tuple(SkeletonNode(remap[sn.id], sn.kind, sn.nodes, sn.edges)
-                  for sn in nodes)
-    tes = tuple(sorted((min(remap[a], remap[b]), max(remap[a], remap[b]), pid)
-                       for a, b, pid in tree_edges))
-    return new_g, SprTree(nodes, tes)
+        p = len(nodes)
+        p_edges = [SkelEdge(u, v, "orig", len(new_edges) - 1)]
+        for end in (a, b):  # each end takes its own new pair id to p
+            nodes[end] = replace(nodes[end], edges=tuple(
+                SkelEdge(e.u, e.v, "virt", next_pid)
+                if e.kind == "virt" and e.ref == pid else e
+                for e in nodes[end].edges))
+            p_edges.append(SkelEdge(u, v, "virt", next_pid))
+            tree_edges.append((end, p, next_pid))
+            next_pid += 1
+        nodes.append(SkeletonNode(p, "P", (u, v), tuple(p_edges)))
+    return (Graph(g.node_count, new_edges),
+            SprTree(tuple(nodes), tuple(sorted(tree_edges))))
 
 
 # -- one decomposition per block ----------------------------------------------

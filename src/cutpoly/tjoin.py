@@ -555,12 +555,14 @@ def min_weight_t_join(node_count: int,
     tset = set(terminals)
     if len(tset) % 2:
         raise TJoinError("terminal set must have even size")
+    if any(not 0 <= x < node_count for e in edges for x in e[:2]):
+        raise TJoinError("edge endpoint out of range")
+    if any(not 0 <= x < node_count for x in tset):
+        raise TJoinError("terminal out of range")
     if node_count == 0:
         return (), 0
     if len(disjoint_sets(node_count, [e[:2] for e in edges])) > 1:
         raise TJoinError("T-join needs a connected graph")
-    if any(not 0 <= x < node_count for e in edges for x in e[:2]):
-        raise TJoinError("edge endpoint out of range")
 
     neg = [i for i, (_u, _v, w) in enumerate(edges) if w < 0]
     work_t = sorted(tset ^ _odd_nodes(edges, neg))

@@ -1,10 +1,12 @@
+import itertools
 import warnings
 
 import pytest
 
 from cutpoly import (Graph, SizeLimitError, brute_classify, brute_hull,
-                     classify, cut_vectors, is_c4_minor_free, is_facet)
-from cutpoly.classify import hull_verdicts
+                     classify, connected_components, cut_vectors,
+                     is_c4_minor_free, is_facet)
+from cutpoly.classify import _drop_isolated, hull_verdicts
 from helpers import complete, connected_graphs_up_to_iso, cycle, path
 
 
@@ -89,6 +91,65 @@ def test_exhaustive_agreement_up_to_five_nodes():
             assert rep.simplicial == bsl, g.edges
             if g.node_count >= 5:
                 assert not bsl  # never simplicial from five nodes on
+
+
+# the six simplicial graphs and the permutation search that recognised
+# them before the degree-sequence lookup, kept as its oracle
+_SIX = (
+    ("K2", 2, ((0, 1),)),
+    ("K2 + K2 (disjoint)", 4, ((0, 1), (2, 3))),
+    ("K2 1-sum K2 (path)", 3, ((0, 1), (1, 2))),
+    ("K3", 3, ((0, 1), (0, 2), (1, 2))),
+    ("K4", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+    ("C4", 4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+)
+
+
+def _isomorphic_small(g, n, pairs) -> bool:
+    if g.node_count != n or len(g.edges) != len(pairs):
+        return False
+    target = {(min(a, b), max(a, b)) for a, b in pairs}
+    mine = {(u, v) for u, v, _w in g.edges}
+    return any({(min(p[u], p[v]), max(p[u], p[v])) for u, v in mine} == target
+               for p in itertools.permutations(range(n)))
+
+
+def _simpliciality_oracle(g) -> tuple[bool, str, str | None]:
+    """classify's simplicial verdict, reason and proof case by the
+    permutation search, on g with its isolated nodes dropped."""
+    reason = ("five or more non-isolated nodes" if g.node_count >= 5
+              else "not among the six simplicial graphs")
+    for name, n, pairs in _SIX:
+        if _isomorphic_small(g, n, pairs):
+            return True, f"isomorphic to {name}", None
+    if g.node_count > 4 or len(connected_components(g)) != 1:
+        return False, reason, None
+    case = "b" if any(g.has_edge(v, x) for u, v, _w in g.edges
+                      for x, _i in g.neighbors(u) if x != v) else "a"
+    kind = ("a facet with too many vertices via a triangle-free edge bound"
+            if case == "a" else
+            "a facet with too many vertices via a triangle inequality")
+    return False, f"{reason}; case ({case}): {kind}", case
+
+
+def test_simplicial_lookup_matches_permutation_search():
+    """On every labelled graph with at most 5 nodes, isolated nodes
+    included, the degree-sequence lookup gives the permutation search's
+    verdict, reason and proof case."""
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1, 1 << len(pairs)):
+                g = Graph(n, [(*pairs[i], 1) for i in range(len(pairs))
+                              if mask >> i & 1])
+                rep = classify(g)
+                want = _simpliciality_oracle(_drop_isolated(g))
+                assert (rep.simplicial, rep.simplicial_reason,
+                        rep.proof_case) == want, g.edges
+                seen += rep.simplicial
+    assert seen > 6  # every one of the six, under several labellings
 
 
 def test_hull_verdicts_match_separate_counts():

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 import sys
 
@@ -11,6 +13,7 @@ from cutpoly import (DuplicateEdgeError, Graph, GraphError, NodeRangeError,
                      format_graph, is_connected, is_k_connected, k5_subgraphs,
                      parse_graph, triangles)
 from cutpoly.cli import main
+from cutpoly.graphs import Cut, _node_edge_masks
 from helpers import complete, cycle, path, random_graph, shape_corpus
 
 
@@ -234,6 +237,36 @@ def test_cut_canonical_side():
     c = cut_from_side(g, [0, 1])
     assert c.side == 0b100  # complemented: node 0 stays out
     assert cut_weight(g, c) == 2
+
+
+def _cut_by_node_masks(g, side):
+    """`cut_from_side` as it was: xor the per-node edge masks of the
+    canonical side, rebuilt on every call."""
+    mask = sum(1 << v for v in set(side))
+    if mask & 1:
+        mask = ((1 << g.node_count) - 1) & ~mask
+    masks = _node_edge_masks(g)
+    return Cut(mask, functools.reduce(
+        operator.xor, (masks[v] for v in range(g.node_count) if mask >> v & 1),
+        0))
+
+
+def test_cut_from_side_matches_node_masks():
+    """On the corpus graphs, random sides (node 0 in or out, empty and
+    full) give the `Cut` of the node-mask method, and its node and edge
+    lists are its set bits."""
+    rnd = random.Random(5)
+    for g in shape_corpus():
+        n = g.node_count
+        sides = [[], range(n)] + [[v for v in range(n) if rnd.random() < 0.5]
+                                  for _ in range(4)]
+        for side in sides:
+            c = cut_from_side(g, side)
+            assert c == _cut_by_node_masks(g, side)
+            assert c.side_nodes() == tuple(v for v in range(n)
+                                           if c.side >> v & 1)
+            assert c.edge_indices() == tuple(i for i in range(len(g.edges))
+                                             if c.indicator >> i & 1)
 
 
 def test_cut_cycle_even_intersection():

@@ -3,15 +3,15 @@ from collections import Counter
 
 import pytest
 
-from cutpoly import (EliminationState, Graph, K33MinorError, cut_weight,
-                     decompose_blocks, maxcut, maxcut_bruteforce,
+from cutpoly import (EliminationState, Graph, GraphError, K33MinorError,
+                     cut_weight, decompose_blocks, maxcut, maxcut_bruteforce,
                      planar_maxcut)
 from cutpoly.maxcut import (MAX_ENUMERATED_NODES, NonPlanarError,
                             _embedded_maxcuts)
 from frozen_elimination import FrozenElimination
 from helpers import (complete, cycle, decomposed, double_k5,
                      forced_cut_optimum, k33, octahedron,
-                     random_planar_2connected, shape_corpus,
+                     random_planar_2connected, run_python, shape_corpus,
                      stacked_triangulation)
 
 
@@ -33,6 +33,28 @@ def test_planar_maxcut_c4_and_forcing():
     assert planar_maxcut(g).value == 4
     assert planar_maxcut(g, (0, True)).value == 4
     assert planar_maxcut(g, (0, False)).value == 2
+
+
+@pytest.mark.parametrize("solver", [maxcut_bruteforce, planar_maxcut])
+@pytest.mark.parametrize("index", [3, -1])
+def test_forced_index_outside_edges_is_rejected(solver, index):
+    with pytest.raises(GraphError, match="forced edge index"):
+        solver(complete(3), (index, True))
+
+
+def test_forced_index_check_runs_without_asserts():
+    proc = run_python("-O", "-c", """if 1:
+        from cutpoly import GraphError, Graph, maxcut_bruteforce, planar_maxcut
+        k3 = Graph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+        for solver in (maxcut_bruteforce, planar_maxcut):
+            for index in (3, -1):
+                try:
+                    solver(k3, (index, False))
+                except GraphError as exc:
+                    print(exc)
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("forced edge index") == 4
 
 
 def test_planar_maxcut_rejects():
@@ -281,14 +303,19 @@ class _Chooser:
 
 
 def test_leaf_order_independence():
+    """Each block's elimination reaches the value of lowest-id order
+    under four seeded random leaf orders."""
     from cutpoly import GeneratorSpec, gen_k33free
     for seed in (3, 17, 40, 77):
         g = gen_k33free(GeneratorSpec(seed=seed, component_count=3,
                                       strict=False, deletion_prob=(1, 10)))
-        baseline = maxcut(g).value
-        for trial in range(4):
-            got = maxcut(g, order=_Chooser(seed * 100 + trial)).value
-            assert got == baseline
+        for block in decompose_blocks(g):
+            if block.tree is None:
+                continue
+            baseline, _assign = EliminationState(block).run()
+            for trial in range(4):
+                order = _Chooser(seed * 100 + trial)
+                assert EliminationState(block).run(order)[0] == baseline
 
 
 def test_maxcut_matches_bruteforce_on_planar_unions():

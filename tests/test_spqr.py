@@ -2,10 +2,11 @@ import itertools
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from cutpoly import (GeneratorSpec, Graph, K33MinorError,
+from cutpoly import (GeneratorSpec, Graph, GraphError, K33MinorError,
                      NotTwoConnectedError, augment_with_parallel_originals,
                      blocks, decompose_blocks, facet_description,
                      format_graph, gen_k33free, has_minor, is_k_connected,
@@ -14,7 +15,9 @@ from cutpoly import (GeneratorSpec, Graph, K33MinorError,
                      spr_tree)
 from cutpoly.cli import main
 from cutpoly.maxcut import _decomposed_maxcut
-from cutpoly.spqr import _completion, _skeleton_graph
+from cutpoly.spqr import (SkelEdge, SkeletonNode, SprTree, _completion,
+                          _skeleton_graph)
+import frozen_augment
 from helpers import (complete, cycle, decomposed, double_k5, frozen_tree, k33,
                      octahedron, path, random_2connected, random_graph,
                      shape_corpus)
@@ -168,6 +171,69 @@ def test_augment_every_virtual_gets_parallel_original():
                 assert g2.has_edge(e.u, e.v)
         for i in range(len(g.edges), len(g2.edges)):
             assert g2.edges[i][2] == 0
+
+
+def _k23_with_k4() -> Graph:
+    """K2,3 on the pair {0, 1} through 2, 3 and 4, with its edge 02 swapped
+    for a K4 on 0, 2, 5, 6 less that edge: an all-virtual P skeleton on
+    {0, 1}, three S triangles, and an S-R tree edge on {0, 2}."""
+    k4 = [(u, v, 1) for u, v in itertools.combinations((0, 2, 5, 6), 2)
+          if (u, v) != (0, 2)]
+    return Graph(7, k4 + [(1, 2, 1), (0, 3, 1), (1, 3, 1), (0, 4, 1),
+                          (1, 4, 1)])
+
+
+def _hand_made_trees():
+    """(graph, tree) pairs with all-virtual P skeletons: the K2,3 tree
+    written out by hand with pair ids out of order, and the trees of
+    graphs made by hand (three K4s less a shared edge, `_k23_with_k4`)."""
+    def virt(pid):
+        return SkelEdge(0, 1, "virt", pid)
+
+    k23 = Graph(5, [(0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1), (0, 4, 1),
+                    (1, 4, 1)])
+    tree = SprTree((SkeletonNode(0, "P", (0, 1), (virt(5), virt(9), virt(2))),
+                    *(SkeletonNode(k + 1, "S", (0, 1, x), (
+                        SkelEdge(0, x, "orig", 2 * k, 1),
+                        SkelEdge(1, x, "orig", 2 * k + 1, 1), virt(pid)))
+                      for k, (x, pid) in enumerate(((2, 5), (3, 9), (4, 2))))),
+                   ((0, 1, 5), (0, 2, 9), (0, 3, 2)))
+    three_k4 = Graph(8, [(u, v, 1) for a, b in ((2, 3), (4, 5), (6, 7))
+                         for u, v in itertools.combinations((0, 1, a, b), 2)
+                         if (u, v) != (0, 1)])
+    return [(k23, tree)] + [(g, spr_tree(g))
+                            for g in (three_k4, _k23_with_k4())]
+
+
+def test_augment_matches_frozen_oracle():
+    """The augmentation returns the graph and the `repr` of the tree that
+    the frozen copy-and-rebuild version returns, on every block of the
+    shared corpus and on hand-made trees; the corpus holds both
+    all-virtual P skeletons and tree edges to subdivide."""
+    corpus = [(b.graph, b.tree) for g in shape_corpus()
+              for b in decomposed(g) if b.tree]
+    assert any(sn.kind == "P" and not sn.originals()
+               for _g, t in corpus for sn in t.nodes)
+    subdivided = 0
+    for g, t in corpus + _hand_made_trees():
+        g2, t2 = augment_with_parallel_originals(g, t)
+        want_g, want_t = frozen_augment.augment(g, t)
+        assert g2 == want_g and repr(t2) == repr(want_t)
+        subdivided += len(t2.nodes) - len(t.nodes)
+    assert subdivided
+
+
+def test_augment_refuses_ids_out_of_order():
+    """Node ids must be 0..N-1 in order: shifted or permuted ids raise
+    `GraphError` instead of being renumbered."""
+    g = _k23_with_k4()
+    t = spr_tree(g)
+    shifted = SprTree(tuple(replace(sn, id=sn.id + 1) for sn in t.nodes),
+                      tuple((a + 1, b + 1, pid) for a, b, pid in t.tree_edges))
+    swapped = SprTree(t.nodes[1::-1] + t.nodes[2:], t.tree_edges)
+    for bad in (shifted, swapped):
+        with pytest.raises(GraphError, match="0..N-1"):
+            augment_with_parallel_originals(g, bad)
 
 
 # -- K33 classification -----------------------------------------------------------

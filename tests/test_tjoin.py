@@ -131,6 +131,18 @@ def test_tjoin_rejects_bad_input():
         min_weight_t_join(4, [(0, 1, 1), (2, 3, 1)], {0, 1})
 
 
+@pytest.mark.parametrize("n, edges, terminals", [
+    (2, [(0, 5, 1)], {0, 1}),
+    (3, [(0, 1, 1), (1, 2, 1)], {0, 7}),
+    (3, [(0, 1, 1), (1, 2, 1)], {-1, 0}),
+], ids=["endpoint-5", "terminal-7", "terminal-minus-1"])
+def test_tjoin_rejects_nodes_out_of_range(n, edges, terminals):
+    """Endpoints and terminals outside 0..n-1 are bad input, refused
+    before the connectivity check reads them."""
+    with pytest.raises(TJoinError, match="out of range"):
+        min_weight_t_join(n, edges, terminals)
+
+
 def _random_multigraph(rnd):
     n = rnd.randrange(2, 8)
     edges = []
