@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 
 from cutpoly import (EliminationState, Graph, GraphError, K33MinorError,
-                     cut_weight, decompose_blocks, maxcut, maxcut_bruteforce,
-                     planar_maxcut)
+                     cut_from_side, cut_weight, decompose_blocks, maxcut,
+                     maxcut_bruteforce, planar_maxcut)
 from cutpoly.maxcut import (MAX_ENUMERATED_NODES, NonPlanarError,
                             _embedded_maxcuts)
 from frozen_elimination import FrozenElimination
@@ -304,7 +304,8 @@ class _Chooser:
 
 def test_leaf_order_independence():
     """Each block's elimination reaches the value of lowest-id order
-    under four seeded random leaf orders."""
+    under four seeded random leaf orders, and each order's replayed
+    witness cuts exactly that value."""
     from cutpoly import GeneratorSpec, gen_k33free
     for seed in (3, 17, 40, 77):
         g = gen_k33free(GeneratorSpec(seed=seed, component_count=3,
@@ -315,7 +316,12 @@ def test_leaf_order_independence():
             baseline, _assign = EliminationState(block).run()
             for trial in range(4):
                 order = _Chooser(seed * 100 + trial)
-                assert EliminationState(block).run(order)[0] == baseline
+                value, local = EliminationState(block).run(order)
+                assert sorted(local) == list(range(block.graph.node_count))
+                cut = cut_from_side(block.graph,
+                                    [v for v, c in local.items() if c])
+                assert value == baseline
+                assert cut_weight(block.graph, cut) == value
 
 
 def test_maxcut_matches_bruteforce_on_planar_unions():
