@@ -77,6 +77,8 @@ def maxcut_bruteforce(g: Graph,
 def _check_forced(g: Graph, forced: tuple[int, bool] | None) -> None:
     if forced is not None and not 0 <= forced[0] < len(g.edges):
         raise GraphError(f"forced edge index {forced[0]} is not an edge of g")
+    if forced is not None and forced[1] not in (0, 1):
+        raise GraphError(f"forced in_cut {forced[1]!r} is not 0 or 1")
 
 
 def _enumerated_maxcuts(g: Graph, forceds: list[tuple[int, bool] | None],

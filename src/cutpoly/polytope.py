@@ -4,7 +4,8 @@ Inequality classes (edge, cycle, metric, the K5 inequality), switching,
 facet certification against enumerated cuts, complete facet descriptions
 for K5-minor-free and K33-minor-free graphs, variable elimination for edge
 deletions, and an exact convex-hull oracle (double description on
-primitive integer rays).  Exact linear algebra (`affine_rank`, and the
+primitive integer rays of the cone of valid inequalities, one row (p, 1)
+per point).  Exact linear algebra (`affine_rank`, and the
 starting basis and rays of the hull oracle) is one fraction-free
 integer elimination, `_eliminate`.
 
@@ -357,9 +358,14 @@ def brute_hull(points) -> list[LinearInequality]:
     """Exact facet list of conv(points), canonical integer inequalities.
 
     Points must affinely span their space (cut polytopes do).  Guards:
-    dimension <= 12, <= 64 distinct points.  Method: translate the
-    centroid to the origin, enumerate the polar's vertices by double
-    description on its homogenization, read facets off the polar.
+    dimension <= 12, <= 64 distinct points.  Method: double description
+    on the cone C = {(c, a) : c . p + a <= 0 for every point p}, one row
+    (p, 1) per point; each extreme ray (c, a) is the facet c . x <= -a.
+    Proof: (c, a) is in C exactly when c . x <= -a is valid.  The rows span
+    R^(dim+1), so C is pointed and a ray is extreme exactly when its tight
+    rows have rank dim, that is when it is tight on dim affinely
+    independent points: a facet, when c != 0.  A ray with c = 0 is a
+    multiple of (0, ..., 0, -1), tight on no point, so never extreme.
     """
     pts = sorted(set(tuple(int(c) for c in p) for p in points))
     if not pts:
@@ -371,34 +377,19 @@ def brute_hull(points) -> list[LinearInequality]:
         raise SizeLimitError("brute_hull guard: dimension <= 12")
     if len(pts) > 64:
         raise SizeLimitError("brute_hull guard: <= 64 vertices")
-    k = len(pts)
-    sums = [sum(p[i] for p in pts) for i in range(dim)]
-    # polar constraints (p_i - centroid) . y <= 1, homogenized and scaled
-    # by k to integer rows (k*p_i - sum, -k) . (y, t) <= 0; plus t >= 0.
-    # They span R^(dim+1) exactly when the points are full-dimensional.
-    rows = [[k * p[i] - sums[i] for i in range(dim)] + [-k] for p in pts]
-    rows.append([0] * dim + [-1])
-    rays = _dd_cone(rows)
+    rays = _dd_cone([[*p, 1] for p in pts])
     if rays is None:
         raise GraphError("brute_hull needs full-dimensional input")
-    out = []
-    for ray in rays:
-        t = ray[dim]
-        if t <= 0:
-            raise CertificationError(
-                "polar of a full-dimensional polytope is bounded")
-        # vertex y = ray/t of the scaled polar; facet y.(x - centroid) <= 1
-        # i.e. k*ray . x <= k*t + ray . sums (all integer after clearing t)
-        coeffs = [k * c for c in ray[:dim]]
-        rhs = k * t + sum(rc * sc for rc, sc in zip(ray[:dim], sums))
-        out.append(LinearInequality.canonical(coeffs, rhs))
-    return sorted(set(out), key=lambda q: (q.coeffs, q.rhs))
+    if not all(any(ray[:dim]) for ray in rays):
+        raise CertificationError("hull facet ray has no x part")
+    return sorted({LinearInequality.canonical(ray[:dim], -ray[dim])
+                   for ray in rays}, key=lambda q: (q.coeffs, q.rhs))
 
 
 def _dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]] | None:
     """Extreme rays of {x : rows . x <= 0}, as primitive integer vectors,
     by incremental double description; None when the rows do not span the
-    space.  The cone must be full-dimensional (the polar above is).
+    space.  The cone must be full-dimensional (brute_hull's is).
 
     Tight sets, the processed rows a ray lies on, are bitmasks over row
     indices and never recomputed.  Start ray j, column j of -B^-1 for the
@@ -433,17 +424,22 @@ def _dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]] | None:
             val = _dot(row, vec)
             (keep if val < 0 else drop if val > 0 else zero).append(
                 (vec, tight, val))
-        lacks = [~tight for _v, tight in rays]
         bit = 1 << idx
         new_rays = []
+        lacks = [~tight for _v, tight in rays] if keep and drop else []
         for vk, tk, ak in keep:
             for vd, td, ad in drop:
                 common = tk & td
                 if common.bit_count() < d - 2:
                     continue
                 # rk and rd hold common; a third holder means not adjacent
-                holders = (o for o in lacks if not common & o)
-                if next(itertools.islice(holders, 2, None), None) is None:
+                holders = 0
+                for lack in lacks:
+                    if not common & lack:
+                        if holders == 2:
+                            break
+                        holders += 1
+                else:
                     vec = _primitive([ad * x - ak * y for x, y in zip(vk, vd)])
                     new_rays.append((vec, common | bit))
         rays = ([(v, t | bit) for v, t, _a in zero]

@@ -18,8 +18,8 @@ from cutpoly.polytope import _eliminate, _primitive
 def dd_cone(rows: list[list[int]]) -> list[tuple[int, ...]]:
     """Extreme rays of {x : rows . x <= 0} by incremental double description.
 
-    The cone must be pointed and full-dimensional (true for the polar
-    homogenization in `brute_hull`).  Rays come back as primitive integer
+    The cone must be pointed and full-dimensional (true for the cone of
+    homogenized points in `brute_hull`).  Rays come back as primitive integer
     vectors; adjacency of rays is decided combinatorially on exact tight
     sets.
     """

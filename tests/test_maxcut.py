@@ -42,19 +42,27 @@ def test_forced_index_outside_edges_is_rejected(solver, index):
         solver(complete(3), (index, True))
 
 
+@pytest.mark.parametrize("solver", [maxcut_bruteforce, planar_maxcut])
+@pytest.mark.parametrize("in_cut", [2, -1])
+def test_forced_in_cut_outside_0_1_is_rejected(solver, in_cut):
+    with pytest.raises(GraphError, match="forced in_cut"):
+        solver(complete(3), (0, in_cut))
+
+
 def test_forced_index_check_runs_without_asserts():
     proc = run_python("-O", "-c", """if 1:
         from cutpoly import GraphError, Graph, maxcut_bruteforce, planar_maxcut
         k3 = Graph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
         for solver in (maxcut_bruteforce, planar_maxcut):
-            for index in (3, -1):
+            for forced in ((3, False), (-1, False), (0, 2), (0, -1)):
                 try:
-                    solver(k3, (index, False))
+                    solver(k3, forced)
                 except GraphError as exc:
                     print(exc)
         """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("forced edge index") == 4
+    assert proc.stdout.count("forced in_cut") == 4
 
 
 def test_planar_maxcut_rejects():

@@ -20,10 +20,11 @@ from cutpoly import (Graph, GraphError, brute_hull, cut_from_side, cut_vectors,
 from cutpoly import graphs, planar, polytope
 from cutpoly.graphs import disjoint_sets, initial_cycle
 from cutpoly.polytope import affine_rank
+import frozen_polar_hull
 from frozen_dd_cone import dd_cone
 from helpers import (complete, cycle, double_k5, octahedron, path,
                      random_2connected, random_graph,
-                     random_planar_2connected, verify_small_pool)
+                     random_planar_2connected, run_python, verify_small_pool)
 
 maxcut_mod = importlib.import_module("cutpoly.maxcut")
 
@@ -234,6 +235,31 @@ def test_brute_hull_matches_frozen_dd_cone(monkeypatch):
     got = [brute_hull(pts) for pts in inputs]
     monkeypatch.setattr(polytope, "_dd_cone", dd_cone)
     assert got == [brute_hull(pts) for pts in inputs]
+
+
+def test_brute_hull_matches_frozen_polar_hull():
+    """The cone of the homogenized points gives the same lists as the
+    centred polar it replaced."""
+    inputs = [cut_vectors(g) for seed in (1, 7)
+              for g in verify_small_pool(seed)]
+    inputs += [cut_vectors(g) for g in hull_graphs()]
+    inputs += [pts for pts in random_point_sets(150)
+               if affine_rank(pts) == len(pts[0])]
+    for pts in inputs:
+        assert brute_hull(pts) == frozen_polar_hull.brute_hull(pts), pts
+
+
+def test_hull_ray_without_x_part_raises_without_asserts():
+    proc = run_python("-O", "-c", """if 1:
+        from cutpoly import CertificationError, brute_hull, polytope
+        polytope._dd_cone = lambda rows: [(0,) * (len(rows[0]) - 1) + (-1,)]
+        try:
+            brute_hull([(0, 0), (1, 0), (0, 1)])
+        except CertificationError as exc:
+            print(exc)
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "hull facet ray has no x part"
 
 
 @pytest.mark.parametrize("pts", [

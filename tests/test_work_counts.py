@@ -269,6 +269,19 @@ def test_dd_cone_multiplies_each_row_with_each_live_ray_once(graph,
     assert live <= set(result) and not dropped & set(result)
 
 
+@pytest.mark.parametrize("graph", [lambda: complete(5), first_verify_m12],
+                         ids=("K5", "verify-m12"))
+def test_brute_hull_hands_dd_cone_one_row_per_point(graph, monkeypatch):
+    """The cone has one row (p, 1) per distinct point and nothing else:
+    no extra homogenizing row."""
+    calls = []
+    counting(monkeypatch, polytope, "_dd_cone", calls)
+    points = cut_vectors(graph())
+    brute_hull(points + points[:1])
+    [(rows,)] = calls
+    assert sorted(map(tuple, rows)) == sorted((*p, 1) for p in points)
+
+
 def test_traced_names_resolve():
     """Every function the bench tracer wraps exists under its name, so
     renaming or deleting one fails here, not only in a traced bench run."""
