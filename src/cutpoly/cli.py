@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
         system = polytope_mod._decomposed_facets(g, decomposition)
         if args.facets:
             with open(args.facets, "r", encoding="utf-8") as fh:
-                expected = _parse_facet_file(fh.read())
+                expected = _parse_facet_file(fh.read(), len(g.edges))
             if expected != set(system.inequalities):
                 failed = True
                 lines.append("facets MISMATCH against provided file")
@@ -164,14 +164,22 @@ def cmd_verify(args) -> int:
     return MISMATCH if failed else OK
 
 
-def _parse_facet_file(text: str) -> set[polytope_mod.LinearInequality]:
+def _parse_facet_file(text: str, edge_count: int
+                      ) -> set[polytope_mod.LinearInequality]:
+    """The inequalities of a `facets` output, whose `dim <m> count <k>`
+    header must give the graph's edge count and the file's row count."""
+    head, *lines = text.splitlines() or [""]
+    rows = [(no, line) for no, line in enumerate(lines, 2) if line.strip()]
+    if head.split() != ["dim", str(edge_count), "count", str(len(rows))]:
+        raise ParseError(f"facet file line 1: {head!r} is not the header "
+                         f"'dim {edge_count} count {len(rows)}'")
     out = set()
-    for line in text.splitlines()[1:]:
-        line = line.strip()
-        if not line:
-            continue
+    for no, line in rows:
         lhs, rhs = line.split("<=")
         coeffs = tuple(int(c) for c in lhs.split())
+        if len(coeffs) != edge_count:
+            raise ParseError(f"facet file line {no}: {len(coeffs)} "
+                             f"coefficients for {edge_count} edges")
         out.add(polytope_mod.LinearInequality.canonical(coeffs, int(rhs)))
     return out
 

@@ -118,6 +118,8 @@ class Graph:
 
     def without_edge(self, index: int) -> "Graph":
         """New graph with one edge removed; later indices shift down by one."""
+        if not 0 <= index < len(self.edges):
+            raise GraphError(f"edge index {index} is not an edge of the graph")
         kept = [e for i, e in enumerate(self.edges) if i != index]
         return Graph(self.node_count, kept)
 

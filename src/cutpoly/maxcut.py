@@ -5,9 +5,9 @@ Three layers: a brute-force oracle (cut enumeration), a planar solver
 main solver for K33-minor-free graphs, `maxcut(g)`, which eliminates
 leaves of the SPR tree as built, lowest id first (Barahona, ORL 1983).
 Each leaf contributes the best cut value with its virtual edge forced in
-(beta+) and forced out (beta-); the difference is charged to the bundle
-of the pair it shares with the rest of the tree (the P skeleton on that
-pair, or the pair itself), no weight-0 edge is inserted, and the leaf is
+(beta+) and forced out (beta-); the difference becomes the weight of the
+node pair it shares with the rest of the tree, which every virtual edge
+on that pair reads, no weight-0 edge is inserted, and the leaf is
 removed.  A skeleton with at most MAX_ENUMERATED_NODES nodes (every K5,
 and every small S cycle or planar R skeleton) is solved by the
 oracle's enumeration, which yields beta+ and beta- from one pass over
@@ -17,7 +17,7 @@ embedding, once per forced pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,17 +47,17 @@ class EliminationStep:
     """One SPR-tree leaf elimination.
 
     beta_plus / beta_minus are the best cut values of the leaf skeleton
-    with the virtual edge forced into / out of the cut; side_in/side_out
-    are the matching node sides, kept for witness reconstruction.
+    with its virtual edge, on node pair `virtual_edge`, forced into / out
+    of the cut; cut_in / cut_out are the matching cuts, as indicators
+    over the leaf skeleton's edges, kept for witness reconstruction.
     """
     leaf: int
     virtual_edge: tuple[int, int]
     beta_plus: int
     beta_minus: int
     gamma: int
-    nodes: frozenset[int] = field(repr=False, default=frozenset())
-    side_in: frozenset[int] = field(repr=False, default=frozenset())
-    side_out: frozenset[int] = field(repr=False, default=frozenset())
+    cut_in: int
+    cut_out: int
 
 
 def maxcut_bruteforce(g: Graph,
@@ -220,15 +220,13 @@ class EliminationState:
 
     Reads the block's SPR tree as built (`tree`) and each R skeleton's
     class, embedding and graph (`r_skeletons`, built once by
-    `decompose_blocks`); neither is copied or changed.  Each virtual pair
-    id belongs to one bundle, named by a representative pair id
-    (`bundle`): the P skeleton at either end of the pair, or else the
-    pair itself.  `weight` holds each bundle's current weight, which
-    every virtual edge on it reads: first the P skeleton's original edge
-    weight (0 without one), then the gamma of the last leaf eliminated
-    onto it.  `adj` is the shrinking tree.  Node labels are those of
-    `block.graph`.  Mutated in place by eliminate(); finish() solves the
-    last skeleton and returns (value, node side set).
+    `decompose_blocks`); neither is copied or changed.  `weight` maps a
+    virtual node pair to the weight every virtual edge on it reads: its
+    P skeleton's original edge weight (0 without one), then the gamma of
+    the last leaf eliminated onto it.  `adj` is the shrinking tree.  Node
+    labels are those of `block.graph`.  Mutated in place by eliminate();
+    finish() solves the last skeleton and returns (value, crossing edge
+    indices of the block).
     """
 
     def __init__(self, block: spqr_mod.Block):
@@ -238,17 +236,20 @@ class EliminationState:
         self.r_skeletons = block.r_skeletons
         self.kind: dict[int, str] = {sn.id: sn.kind for sn in tree.nodes}
         self.adj: dict[int, dict[int, int]] = {sn.id: {} for sn in tree.nodes}
-        self.bundle: dict[int, int] = {}
-        self.weight: dict[int, int] = {}
-        for sn in tree.nodes:
-            if sn.kind == "P":
-                pids = [e.ref for e in sn.virtuals()]
-                self.bundle.update(dict.fromkeys(pids, pids[0]))
-                self.weight[pids[0]] = sum(e.weight for e in sn.originals())
+        self.weight: dict[tuple[int, int], int] = {
+            sn.nodes: sum(e.weight for e in sn.originals())
+            for sn in tree.nodes if sn.kind == "P"}
+        pair = {e.ref: e.endpoints() for sn in tree.nodes for e in sn.edges
+                if e.kind == "virt"}
+        hub: dict[tuple[int, int], int] = {}
         for a, b, pid in tree.tree_edges:
             self.adj[a][b] = pid
             self.adj[b][a] = pid
-            self.weight.setdefault(self.bundle.setdefault(pid, pid), 0)
+            # a pair is keyed once: its tree edges all meet one P skeleton
+            p = next((x for x in (a, b) if self.kind[x] == "P"), ~pid)
+            if hub.setdefault(pair[pid], p) != p:
+                raise CertificationError("two tree edges outside one P "
+                                         "skeleton share a node pair")
         self.base = 0
         self.steps: list[EliminationStep] = []
 
@@ -270,7 +271,7 @@ class EliminationState:
     def _skeleton_graph(self, sid: int) -> Graph:
         """Skeleton `sid` as a graph (node i is `sn.nodes[i]`, edge j is
         `sn.edges[j]`): an R skeleton's stored graph or an S cycle's,
-        checked against its pairs, with the bundles' weights put in."""
+        checked against its pairs, with the pairs' weights put in."""
         sn = self.tree.node(sid)
         sg = (self.r_skeletons[sid][2] if sid in self.r_skeletons
               else spqr_mod._skeleton_graph(sn)[0])
@@ -278,14 +279,15 @@ class EliminationState:
                 e.endpoints() for e in sn.edges]:
             raise CertificationError("skeleton edges left the embedding's order")
         return sg.reweighted([e.weight if e.kind == "orig"
-                              else self.weight[self.bundle[e.ref]]
+                              else self.weight.get(e.endpoints(), 0)
                               for e in sn.edges])
 
     def _skeleton_cuts(self, sid: int,
                        forceds: list[tuple[int, bool] | None],
-                       ) -> list[tuple[int, frozenset[int]]]:
+                       ) -> list[tuple[int, int]]:
         """Best cut of a skeleton graph once per entry of `forceds` (None or
-        (skeleton edge index, in_cut)), as (value, global node side).
+        (skeleton edge index, in_cut)), as (value, indicator over the
+        skeleton's edges).
 
         A skeleton with at most MAX_ENUMERATED_NODES nodes takes every
         entry from one enumeration of its cuts, ties to the smallest side
@@ -305,14 +307,12 @@ class EliminationState:
         so the bound is the largest n at which one pass is at least three
         times faster.
         """
-        sn = self.tree.node(sid)
         sg = self._skeleton_graph(sid)
         if sg.node_count <= MAX_ENUMERATED_NODES:
             results = _enumerated_maxcuts(sg, forceds)
         else:
             results = _embedded_maxcuts(self._embedding(sid, sg), forceds)
-        return [(res.value, frozenset(sn.nodes[v] for v in res.cut.side_nodes()))
-                for res in results]
+        return [(res.value, res.cut.indicator) for res in results]
 
     def _embedding(self, sid: int, sg: Graph) -> planar_mod.Embedding:
         """Embedding of skeleton `sid`, whose graph is `sg`.  An R skeleton
@@ -343,24 +343,28 @@ class EliminationState:
         if j is None:
             raise CertificationError(
                 "leaf must hold a virtual edge for its tree edge")
-        a, b = sn.edges[j].endpoints()
-        (beta_plus, side_in), (beta_minus, side_out) = self._skeleton_cuts(
+        pair = sn.edges[j].endpoints()
+        (beta_plus, cut_in), (beta_minus, cut_out) = self._skeleton_cuts(
             leaf, [(j, True), (j, False)])
         gamma = beta_plus - beta_minus
-        self.weight[self.bundle[pid]] = gamma
+        self.weight[pair] = gamma
         self.base += beta_minus
         del self.adj[leaf], self.adj[nbr][leaf]
         if self.kind[nbr] == "P" and len(self.adj[nbr]) == 1:
-            # the P leaf dissolves; its bundle lives on in its neighbor
+            # the P leaf dissolves; its pair lives on in its neighbor
             (other,) = self.adj.pop(nbr)
             del self.adj[other][nbr]
-        step = EliminationStep(leaf, (a, b), beta_plus, beta_minus, gamma,
-                               frozenset(sn.nodes), side_in, side_out)
+        step = EliminationStep(leaf, pair, beta_plus, beta_minus, gamma,
+                               cut_in, cut_out)
         self.steps.append(step)
         return step
 
-    def finish(self) -> tuple[int, dict[int, int]]:
-        """Solve the final component and replay steps for a witness."""
+    def finish(self) -> tuple[int, list[int]]:
+        """Solve the final component and replay the steps, latest first:
+        each leaf takes its cut with its pair crossed if the cuts chosen
+        so far cross that pair.  Cuts that agree on their shared pair
+        2-sum to a cut, so the block's cut is its original edges on
+        crossed pairs."""
         if not self.done():
             raise CertificationError(
                 "finish() before the tree is down to one node")
@@ -368,30 +372,26 @@ class EliminationState:
         if self.kind[sid] == "P":
             # cannot happen: a P with one tree edge dissolves, with zero it
             # would have been the whole tree of a bond (not a simple graph)
-            raise CertificationError("final node cannot be a P bundle")
-        ((value, side),) = self._skeleton_cuts(sid, [None])
-        total = self.base + value
-        assign = dict.fromkeys(self.tree.node(sid).nodes, 0)
-        for v in side:
-            assign[v] = 1
-        for step in reversed(self.steps):
-            a, b = step.virtual_edge
-            want_cut = assign[a] != assign[b]
-            side_set = step.side_in if want_cut else step.side_out
-            local = {v: 0 for v in step.nodes}
-            for v in side_set:
-                local[v] = 1
-            if local[a] != assign[a]:
-                local = {v: 1 - c for v, c in local.items()}
-            if local[b] != assign[b]:  # local[a] agrees after the flip
-                raise CertificationError(
-                    "leaf witness disagrees at the virtual edge")
-            for v, c in local.items():
-                if v not in (a, b):
-                    assign[v] = c
-        return total, assign
+            raise CertificationError("final node cannot be a P skeleton")
+        ((value, cut),) = self._skeleton_cuts(sid, [None])
+        crossed: dict[tuple[int, int], int] = {}
 
-    def run(self, order=None) -> tuple[int, dict[int, int]]:
+        def record(sid: int, cut: int) -> None:
+            for j, e in enumerate(self.tree.node(sid).edges):
+                bit = cut >> j & 1
+                if crossed.setdefault(e.endpoints(), bit) != bit:
+                    raise CertificationError(
+                        "leaf witness disagrees at the virtual edge")
+
+        record(sid, cut)
+        for step in reversed(self.steps):
+            record(step.leaf, step.cut_in if crossed[step.virtual_edge]
+                   else step.cut_out)
+        return self.base + value, [e.ref for sn in self.tree.nodes
+                                   for e in sn.originals()
+                                   if crossed[e.endpoints()]]
+
+    def run(self, order=None) -> tuple[int, list[int]]:
         """Eliminate until done.  `order` picks among eligible leaves
         (default: lowest id); pass an rng-like with .choice for tests."""
         while not self.done():
@@ -414,36 +414,20 @@ def maxcut(g: Graph) -> MaxCutResult:
 
 def _decomposed_maxcut(g: Graph, decomposition: tuple[spqr_mod.Block, ...]
                        ) -> MaxCutResult:
-    """`maxcut` of g, given `decompose_blocks(g)`."""
+    """`maxcut` of g, given `decompose_blocks(g)`: the blocks' values add
+    up, and their crossing edges, which share no edge, form one cut of g,
+    colored once."""
     witness = spqr_mod._first_witness(decomposition)
     if witness is not None:
         raise K33MinorError("graph has a K33 minor", witness)
-    assign: dict[int, int] = {v: 0 for v in range(g.node_count)}
     total = 0
-    # solve blocks in an order that chains along cut nodes, one connected
-    # component after another
-    pending = list(decomposition)
-    placed: set[int] = set()
-    while pending:
-        block = next((b for b in pending if placed.intersection(b.nodes)),
-                     pending[0])
-        pending.remove(block)
-        value, local = _solve_block(block)
+    crossing: set[int] = set()
+    for block in decomposition:
+        if block.tree is None:
+            w = block.graph.edges[0][2]
+            value, local = (w, [0]) if w > 0 else (0, [])
+        else:
+            value, local = EliminationState(block).run()
         total += value
-        anchor = next((v for v in block.nodes if v in placed), None)
-        if anchor is not None and local[anchor] != assign[anchor]:
-            local = {v: 1 - c for v, c in local.items()}
-        for v, c in local.items():
-            if v not in placed:
-                assign[v] = c
-        placed.update(block.nodes)
-    cut = cut_from_side(g, [v for v, c in assign.items() if c == 1])
-    return _certified(g, total, cut, None)
-
-
-def _solve_block(block: spqr_mod.Block) -> tuple[int, dict[int, int]]:
-    if block.tree is None:
-        (u, v), w = block.nodes, block.graph.edges[0][2]
-        return (w, {u: 0, v: 1}) if w > 0 else (0, {u: 0, v: 0})
-    value, local = EliminationState(block).run()
-    return value, {block.nodes[v]: c for v, c in local.items()}
+        crossing.update(block.edges[i] for i in local)
+    return _certified(g, total, _two_color(g, crossing), None)

@@ -170,18 +170,21 @@ def switch(q: LinearInequality, w: Cut) -> LinearInequality:
 
 # -- exact certification -------------------------------------------------------
 
-def _guard(g: Graph) -> None:
+def _guard(g: Graph, q: LinearInequality | None = None) -> None:
+    if q is not None and len(q.coeffs) != len(g.edges):
+        raise GraphError(f"inequality has {len(q.coeffs)} coefficients, "
+                         f"the graph {len(g.edges)} edges")
     if g.node_count > 22:
         raise SizeLimitError("cut enumeration guard: node_count <= 22")
 
 
 def is_valid(g: Graph, q: LinearInequality) -> bool:
-    _guard(g)
+    _guard(g, q)
     return all(q.evaluate(x) <= q.rhs for x in cut_vectors(g))
 
 
 def is_facet(g: Graph, q: LinearInequality) -> bool:
-    _guard(g)
+    _guard(g, q)
     if max(map(abs, (*q.coeffs, q.rhs))) >= 1 << 31:
         raise SizeLimitError("is_facet guard: |coefficients| < 2^31")
     coeffs = np.array([q.coeffs], dtype=np.int64).reshape(1, len(g.edges))

@@ -1,4 +1,5 @@
-"""Leaf elimination as it stood before bundles, on the augmented tree.
+"""Leaf elimination on the augmented tree, as it stood before weights were
+kept per virtual node pair.
 
 A frozen copy kept as a differential oracle: the block is first copied by
 `augment_with_parallel_originals`, so every virtual edge has a parallel
@@ -7,20 +8,33 @@ gamma is written to that original, and P leaves dissolve by rewriting
 their neighbour's virtual edge into the original.  Skeletons are solved
 by the live solver's size rule: `maxcut_bruteforce` once per forced
 pattern up to MAX_ENUMERATED_NODES nodes, the dual T-join above.
-`cutpoly.maxcut.EliminationState` must take the very same steps and
-reach the same assignment.
+`cutpoly.maxcut.EliminationState` must take the very same steps, with
+the same cuts on each leaf skeleton, and reach the same witness cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from cutpoly import (CertificationError, GraphError, maxcut_bruteforce,
                      planar_embed)
 from cutpoly.graphs import compact_graph
-from cutpoly.maxcut import (MAX_ENUMERATED_NODES, EliminationStep,
-                            NonPlanarError, _embedded_maxcuts)
+from cutpoly.maxcut import (MAX_ENUMERATED_NODES, NonPlanarError,
+                            _embedded_maxcuts)
 from cutpoly.spqr import SkelEdge, augment_with_parallel_originals
+
+
+@dataclass(frozen=True)
+class FrozenStep:
+    """One leaf elimination, with the node sides of its two cuts."""
+    leaf: int
+    virtual_edge: tuple[int, int]
+    beta_plus: int
+    beta_minus: int
+    gamma: int
+    nodes: frozenset[int]
+    side_in: frozenset[int]
+    side_out: frozenset[int]
 
 
 class FrozenElimination:
@@ -105,7 +119,7 @@ class FrozenElimination:
                          for orbit in emb.rotation)
         return replace(emb, graph=sg, rotation=rotation)
 
-    def eliminate(self, leaf: int) -> EliminationStep:
+    def eliminate(self, leaf: int) -> FrozenStep:
         if leaf not in self.adj or len(self.adj[leaf]) != 1 \
                 or self.kind[leaf] == "P":
             raise GraphError(f"node {leaf} is not an eliminable leaf")
@@ -126,8 +140,8 @@ class FrozenElimination:
         del self.adj[nbr][leaf]
         self.skel_edges[nbr] = [e for e in self.skel_edges[nbr]
                                 if not (e.kind == "virt" and e.ref == pid)]
-        step = EliminationStep(leaf, (a, b), beta_plus, beta_minus, gamma,
-                               skel_nodes, side_in, side_out)
+        step = FrozenStep(leaf, (a, b), beta_plus, beta_minus, gamma,
+                          skel_nodes, side_in, side_out)
         self.steps.append(step)
         self._dissolve_p_leaves()
         return step

@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 import cutpoly
-from cutpoly import (Graph, GeneratorSpec, decompose_blocks, format_graph,
-                     gen_k33free, is_connected, is_k_connected)
+from cutpoly import (Graph, GeneratorSpec, brute_hull, cut_vectors,
+                     decompose_blocks, format_graph, gen_k33free, is_connected,
+                     is_k_connected)
 from cutpoly.spqr import _completion
 import frozen_spqr
 from allpairs_tjoin import allpairs_t_join, allpairs_unique
@@ -179,6 +180,20 @@ def verify_small_pool(seed: int = 1) -> tuple[Graph, ...]:
     pool, _rejected = workloads.make_pool(wl, seed, wl.pool_size, gen_k33free,
                                           GeneratorSpec, format_graph)
     return tuple(Graph(inst.node_count, list(inst.edges)) for inst in pool)
+
+
+@functools.cache
+def verify_small_cut_vectors(seed: int = 1) -> tuple[tuple, ...]:
+    """The cut vectors of each graph of `verify_small_pool(seed)`."""
+    return tuple(tuple(cut_vectors(g)) for g in verify_small_pool(seed))
+
+
+@functools.cache
+def live_hull(pts: tuple[tuple[int, ...], ...]) -> tuple:
+    """`brute_hull` of a point set, computed once per process: the tests
+    that hold it against frozen hull codes share it.  Call it only with
+    the live code in place, never under a patch."""
+    return tuple(brute_hull(list(pts)))
 
 
 def random_graph(seed: int, nmax: int = 8, p: float = 0.5) -> Graph:

@@ -127,6 +127,24 @@ def test_verify_corrupted_facet_file(k5_file, tmp_path, capsys):
     assert code == 1 and "MISMATCH" in out
 
 
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[1:],  # no header
+    lambda lines: ["dim 10 count 55", *lines[1:]],  # a wrong count
+    lambda lines: [lines[0], lines[1].split(" ", 1)[1], *lines[2:]],  # short
+])
+def test_verify_malformed_facet_file_is_an_input_error(edit, k5_file, tmp_path,
+                                                        capsys):
+    facet_file = tmp_path / "facets.txt"
+    run_cli(["facets", k5_file, "--out", str(facet_file)], capsys)
+    lines = facet_file.read_text().splitlines()
+    assert lines[0] == "dim 10 count 56"
+    facet_file.write_text("\n".join(edit(lines)) + "\n")
+    code, out, err = run_cli(["verify", k5_file, "--facets", str(facet_file)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: facet file")
+
+
 def test_exit_code_unsupported(tmp_path, capsys):
     f = tmp_path / "k33.cut"
     f.write_text(format_graph(k33()))
@@ -171,12 +189,12 @@ def test_certification_error_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_wrong_witness_exit_code(k5_file, monkeypatch, capsys):
-    # a witness that puts every node on one side fails its re-costing
+    # a witness that crosses no edge fails its re-costing
     finish = EliminationState.finish
 
     def wrong(self):
-        total, assign = finish(self)
-        return total, dict.fromkeys(assign, 0)
+        total, _edges = finish(self)
+        return total, []
 
     monkeypatch.setattr(EliminationState, "finish", wrong)
     code, out, err = run_cli(["maxcut", k5_file, "--witness"], capsys)

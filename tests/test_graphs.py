@@ -36,6 +36,12 @@ def test_reweighted_shares_topology_of_a_fresh_graph():
             g.reweighted(ws[1:])
 
 
+@pytest.mark.parametrize("index", [3, -1])
+def test_without_edge_rejects_an_index_outside_the_edges(index):
+    with pytest.raises(GraphError, match="is not an edge"):
+        complete(3).without_edge(index)
+
+
 # -- parsing ----------------------------------------------------------------
 
 def test_parse_single_edge():

@@ -4,10 +4,10 @@ from collections import Counter
 import pytest
 
 from cutpoly import (EliminationState, Graph, GraphError, K33MinorError,
-                     cut_from_side, cut_weight, decompose_blocks, maxcut,
+                     cut_weight, decompose_blocks, maxcut,
                      maxcut_bruteforce, planar_maxcut)
 from cutpoly.maxcut import (MAX_ENUMERATED_NODES, NonPlanarError,
-                            _embedded_maxcuts)
+                            _embedded_maxcuts, _two_color)
 from frozen_elimination import FrozenElimination
 from helpers import (complete, cycle, decomposed, double_k5,
                      forced_cut_optimum, k33, octahedron,
@@ -115,17 +115,17 @@ def test_first_step_betas_on_shared_triangles(weights):
     state = EliminationState(decompose_blocks(g)[0])
     leaf = state.eligible_leaves()[0]
     step = state.eliminate(leaf)
-    ww1, ww2 = (w1, w2) if 2 in step.nodes else (w3, w4)
+    ww1, ww2 = (w1, w2) if 2 in state.tree.node(step.leaf).nodes else (w3, w4)
     assert step.beta_plus == w0 + max(ww1, ww2)
     assert step.beta_minus == max(0, ww1 + ww2)
     assert step.gamma == step.beta_plus - step.beta_minus
-    value, _assign = state.run()
+    value, _edges = state.run()
     assert value == maxcut_bruteforce(g).value
 
 
 def test_k5_leaf_betas():
     """Leaf K5 skeleton with unit originals.  The virtual edge carries the
-    weight of its pair's bundle: 0 when the pair has no original edge,
+    weight of its node pair: 0 when the pair has no original edge,
     so the best ab-in-cut value is 5 and the best ab-out value is 6
     (enumeration over the 16 cuts of K5); with a unit original edge on
     the pair both are 6."""
@@ -165,18 +165,26 @@ def test_elimination_telescope():
     while not state.done():
         state.eliminate(state.eligible_leaves()[0])
     (final,) = state.adj
-    ((final_value, _side),) = state._skeleton_cuts(final, [None])
-    value, _assign = state.run()
+    ((final_value, _cut),) = state._skeleton_cuts(final, [None])
+    value, _edges = state.run()
     assert state.base == sum(s.beta_minus for s in state.steps)
     assert value == state.base + final_value
     assert value == maxcut_bruteforce(g).value
 
 
+def induced_cut(sn, side) -> int:
+    """The indicator of the cut that a node side induces on the edges of
+    skeleton `sn`."""
+    return sum(1 << j for j, e in enumerate(sn.edges)
+               if (e.u in side) != (e.v in side))
+
+
 def test_elimination_matches_frozen_augmented_oracle():
-    """Bundles take the very steps of the augmented tree (`FrozenElimination`,
-    the elimination before bundles): same leaves, virtual edges, betas,
-    gammas and sides, and the same final assignment, under lowest-id
-    order and three seeded random orders."""
+    """Node pairs take the very steps of the augmented tree
+    (`FrozenElimination`, the elimination before pair weights): same leaves,
+    virtual edges, betas and gammas, the same cuts on each leaf
+    skeleton's edges, and the same value and crossing edges at the end,
+    under lowest-id order and three seeded random orders."""
     from cutpoly import GeneratorSpec, gen_k33free
     graphs = [gen_k33free(GeneratorSpec(
         seed=seed, component_count=1 + seed % 8, tri_size=(4, 4 + seed % 9),
@@ -194,8 +202,19 @@ def test_elimination_matches_frozen_augmented_oracle():
                 leaves = frozen.eligible_leaves()
                 assert state.eligible_leaves() == leaves
                 leaf = leaves[0] if seed is None else rnd.choice(leaves)
-                assert state.eliminate(leaf) == frozen.eliminate(leaf)
-            assert state.done() and state.finish() == frozen.finish()
+                got, want = state.eliminate(leaf), frozen.eliminate(leaf)
+                sn = state.tree.node(leaf)
+                assert (got.leaf, got.virtual_edge, got.beta_plus,
+                        got.beta_minus, got.gamma, got.cut_in, got.cut_out
+                        ) == (want.leaf, want.virtual_edge, want.beta_plus,
+                              want.beta_minus, want.gamma,
+                              induced_cut(sn, want.side_in),
+                              induced_cut(sn, want.side_out))
+            value, edges = state.finish()
+            frozen_value, assign = frozen.finish()
+            assert state.done() and (value, set(edges)) == (frozen_value, {
+                i for i, (u, v, _w) in enumerate(block.graph.edges)
+                if assign[u] != assign[v]})
 
 
 def test_enumerated_skeletons_match_bruteforce_and_tjoin():
@@ -213,9 +232,7 @@ def test_enumerated_skeletons_match_bruteforce_and_tjoin():
         forceds = [fv and (sg.edge_index(to_sub[fv[0]], to_sub[fv[1]]), fv[2])
                    for fv in pinned]
         brute = [maxcut_bruteforce(sg, forced) for forced in forceds]
-        assert got == [(r.value, frozenset(sn.nodes[v]
-                                           for v in r.cut.side_nodes()))
-                       for r in brute], sn
+        assert got == [(r.value, r.cut.indicator) for r in brute], sn
         cls = "S" if sn.kind == "S" else state.r_skeletons[sid][0]
         if cls != "K5":
             tjoin = _embedded_maxcuts(state._embedding(sid, sg), forceds)
@@ -236,13 +253,47 @@ def test_enumerated_skeletons_match_bruteforce_and_tjoin():
                 if leaf in small:
                     a, b = step.virtual_edge
                     check(state, leaf, skeleton, [(a, b, True), (a, b, False)],
-                          [(step.beta_plus, step.side_in),
-                           (step.beta_minus, step.side_out)])
+                          [(step.beta_plus, step.cut_in),
+                           (step.beta_minus, step.cut_out)])
             (last,) = state.adj
             if last in small:
                 check(state, last, state._skeleton_graph(last), [None],
                       state._skeleton_cuts(last, [None]))
     assert min(checked.values()) >= 100 and len(checked) == 4, checked
+
+
+# a non-strict 3-piece chain R - R - R, built once as is and once with its
+# second tree edge moved onto the first one's node pair
+PAIR_SHARED_OUTSIDE_P = """
+from dataclasses import replace
+from cutpoly import (CertificationError, EliminationState, GeneratorSpec,
+                     decompose_blocks, gen_k33free)
+(block,) = decompose_blocks(gen_k33free(GeneratorSpec(
+    seed=1, component_count=3, strict=False)))
+tree = block.tree
+(a, _b, first), (_c, _d, second) = tree.tree_edges
+assert {sn.kind for sn in tree.nodes} == {"R"}
+pair = next(e for e in tree.node(a).virtuals() if e.ref == first)
+nodes = tuple(replace(sn, edges=tuple(
+    replace(e, u=pair.u, v=pair.v) if e.kind == "virt" and e.ref == second
+    else e for e in sn.edges)) for sn in tree.nodes)
+print(EliminationState(block).run()[0] > 0)
+try:
+    EliminationState(replace(block, tree=replace(tree, nodes=nodes)))
+except CertificationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_pair_shared_outside_one_p_skeleton_raises(flags):
+    """The elimination keys weights and crossings by node pair, so two
+    tree edges may share a pair only around one P skeleton; a tree that
+    breaks this is refused, with or without asserts."""
+    proc = run_python(*flags, "-c", PAIR_SHARED_OUTSIDE_P)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "True", "two tree edges outside one P skeleton share a node pair"]
 
 
 def test_eliminate_rejects_non_leaves():
@@ -321,13 +372,12 @@ def test_leaf_order_independence():
         for block in decompose_blocks(g):
             if block.tree is None:
                 continue
-            baseline, _assign = EliminationState(block).run()
+            baseline, _edges = EliminationState(block).run()
             for trial in range(4):
                 order = _Chooser(seed * 100 + trial)
-                value, local = EliminationState(block).run(order)
-                assert sorted(local) == list(range(block.graph.node_count))
-                cut = cut_from_side(block.graph,
-                                    [v for v, c in local.items() if c])
+                value, edges = EliminationState(block).run(order)
+                cut = _two_color(block.graph, set(edges))
+                assert cut.edge_indices() == tuple(sorted(edges))
                 assert value == baseline
                 assert cut_weight(block.graph, cut) == value
 

@@ -11,7 +11,7 @@ from cutpoly import (Graph, GraphError, K33MinorError, LinearInequality,
                      polytope_dim, switch, triangles)
 from cutpoly.polytope import InequalitySystem, _maximal_k33free_facets
 from helpers import (complete, cycle, double_k5, k33, maximal_pieces,
-                     octahedron, random_graph)
+                     octahedron, random_graph, run_python)
 
 
 def tri_indices(g, tri):
@@ -124,6 +124,29 @@ def test_is_valid_and_is_facet_basics():
     k3 = complete(3)
     upper = LinearInequality((1, 0, 0), 1)
     assert is_valid(k3, upper) and not is_facet(k3, upper)
+
+
+@pytest.mark.parametrize("check", [is_valid, is_facet])
+def test_inequality_of_the_wrong_length_is_refused(check):
+    for coeffs in ((1,), (1, 0, 0, 0)):
+        with pytest.raises(GraphError, match="coefficients"):
+            check(complete(3), LinearInequality(coeffs, 0))
+
+
+def test_inequality_of_the_wrong_length_is_refused_without_asserts():
+    proc = run_python("-O", "-c", """if 1:
+        from cutpoly import (Graph, GraphError, LinearInequality, is_facet,
+                             is_valid)
+        k3 = Graph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+        for check in (is_valid, is_facet):
+            try:
+                check(k3, LinearInequality((1,), 0))
+            except GraphError as exc:
+                print(exc)
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "inequality has 1 coefficients, the graph 3 edges"] * 2
 
 
 def test_polytope_dim_equals_edge_count():
@@ -351,6 +374,13 @@ def test_fm_triangle_to_path():
     path = Graph(3, [(0, 1, 1), (0, 2, 1)])
     assert proj.graph == g3.without_edge(2)
     assert set(proj.inequalities) == set(brute_hull(cut_vectors(path)))
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_fm_rejects_an_index_outside_the_edges(index):
+    system = facet_description(complete(3))
+    with pytest.raises(GraphError, match="is not an edge"):
+        fourier_motzkin_project(system, index)
 
 
 def test_plus_minus_one_coefficients():

@@ -22,9 +22,10 @@ from cutpoly.graphs import disjoint_sets, initial_cycle
 from cutpoly.polytope import affine_rank
 import frozen_polar_hull
 from frozen_dd_cone import dd_cone
-from helpers import (complete, cycle, double_k5, octahedron, path,
+from helpers import (complete, cycle, double_k5, live_hull, octahedron, path,
                      random_2connected, random_graph,
-                     random_planar_2connected, run_python, verify_small_pool)
+                     random_planar_2connected, run_python,
+                     verify_small_cut_vectors)
 
 maxcut_mod = importlib.import_module("cutpoly.maxcut")
 
@@ -221,32 +222,32 @@ def test_brute_hull_matches_fraction_elimination(monkeypatch):
     inputs = [cut_vectors(g) for g in hull_graphs()]
     inputs += [pts for pts in random_point_sets(150)
                if affine_rank(pts) == len(pts[0])]
-    got = [brute_hull(pts) for pts in inputs]
+    got = [live_hull(tuple(pts)) for pts in inputs]
     monkeypatch.setattr(polytope, "_dd_cone", frac_dd_cone)
-    assert got == [brute_hull(pts) for pts in inputs]
+    assert got == [tuple(brute_hull(pts)) for pts in inputs]
 
 
 def test_brute_hull_matches_frozen_dd_cone(monkeypatch):
     """The same lists as with the cone from before tight sets were
     carried, on the benchmark's verify-small pool and random point sets."""
-    inputs = [cut_vectors(g) for g in verify_small_pool(1)]
+    inputs = list(verify_small_cut_vectors(1))
     inputs += [pts for pts in random_point_sets(150)
                if affine_rank(pts) == len(pts[0])]
-    got = [brute_hull(pts) for pts in inputs]
+    got = [live_hull(tuple(pts)) for pts in inputs]
     monkeypatch.setattr(polytope, "_dd_cone", dd_cone)
-    assert got == [brute_hull(pts) for pts in inputs]
+    assert got == [tuple(brute_hull(pts)) for pts in inputs]
 
 
 def test_brute_hull_matches_frozen_polar_hull():
     """The cone of the homogenized points gives the same lists as the
     centred polar it replaced."""
-    inputs = [cut_vectors(g) for seed in (1, 7)
-              for g in verify_small_pool(seed)]
+    inputs = [pts for seed in (1, 7) for pts in verify_small_cut_vectors(seed)]
     inputs += [cut_vectors(g) for g in hull_graphs()]
     inputs += [pts for pts in random_point_sets(150)
                if affine_rank(pts) == len(pts[0])]
     for pts in inputs:
-        assert brute_hull(pts) == frozen_polar_hull.brute_hull(pts), pts
+        assert list(live_hull(tuple(pts))) == \
+            frozen_polar_hull.brute_hull(pts), pts
 
 
 def test_hull_ray_without_x_part_raises_without_asserts():
