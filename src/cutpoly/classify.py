@@ -13,6 +13,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graphs import CertificationError, Graph, SizeLimitError, blocks, \
     chordless_cycles, compact_graph, connected_components, cut_vectors, \
     triangles
@@ -55,7 +57,9 @@ def _drop_isolated(g: Graph) -> Graph:
 
 def classify(g: Graph) -> ClassificationReport:
     """Structural classification of the cut polytope's simplicity and
-    simpliciality, with evidence."""
+    simpliciality, with evidence.  The C4 witness names g's own nodes,
+    and the reason names them 1-indexed, as in the input file."""
+    labels = [v for v in range(g.node_count) if g.degree(v)]
     g = _drop_isolated(g)
     if not g.edges:
         return ClassificationReport(True, True, "trivial polytope",
@@ -67,9 +71,9 @@ def classify(g: Graph) -> ClassificationReport:
     if simple:
         simple_reason = "every block is an edge or a triangle"
     else:
-        c4_witness = tuple(sorted(bad[0]))
-        simple_reason = (f"block on nodes {c4_witness} is neither an edge "
-                         "nor a triangle (C4 minor)")
+        c4_witness = tuple(sorted(labels[v] for v in bad[0]))
+        simple_reason = (f"block on nodes {tuple(v + 1 for v in c4_witness)}"
+                         " is neither an edge nor a triangle (C4 minor)")
         if not blocks(g).cut_nodes and len(connected_components(g)) == 1:
             certificate = _non_simplicity_certificate(g)
 
@@ -156,15 +160,13 @@ def guarded_cut_vectors(g: Graph) -> list[tuple[int, ...]]:
 
 def hull_verdicts(vectors, facets) -> tuple[bool, bool]:
     """(simple, simplicial) from the incidences of the cut vectors of a
-    graph with the facets of their hull.  The facet counts reuse the vector
-    rows read up to the first miss, so no incidence is decided twice."""
+    graph with the facets of their hull, all read off one integer product
+    of the vectors with the facet rows: simple when every vector lies on
+    exactly |E| facets, simplicial when every facet holds exactly |E|."""
     m = len(vectors[0])
-    rows = []  # rows[i][j]: vector i lies on facet j
-    for x in vectors:
-        rows.append([q.evaluate(x) == q.rhs for q in facets])
-        if sum(rows[-1]) != m:
-            break
-    rest = vectors[len(rows):]
-    return not rest and sum(rows[-1]) == m, all(
-        sum(row[j] for row in rows) + sum(q.evaluate(x) == q.rhs for x in rest)
-        == m for j, q in enumerate(facets))
+    coeffs = np.array([q.coeffs for q in facets], dtype=np.int64)
+    rhs = np.array([q.rhs for q in facets], dtype=np.int64)
+    tight = (np.array(vectors, dtype=np.int64).reshape(len(vectors), m)
+             @ coeffs.reshape(len(facets), m).T) == rhs
+    return bool((tight.sum(axis=1) == m).all()), \
+        bool((tight.sum(axis=0) == m).all())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError, disjoint_sets
 
 _MASK = (1 << 64) - 1
 
@@ -148,7 +148,7 @@ def gen_k33free(spec: GeneratorSpec) -> Graph:
             if not rng.chance(num, den):
                 continue
             trial = [q for q in kept if q != p]
-            if is_connected(Graph(n, [(u, v, 0) for u, v in trial])):
+            if len(disjoint_sets(n, trial)) <= 1:
                 kept = trial
         pairs = kept
     lo, hi = spec.weight_range

@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 # Parser bound on |weight| so that any sum of weights stays far below 2**63.
 MAX_WEIGHT = 1 << 40
 
@@ -222,22 +224,7 @@ def format_graph(g: Graph) -> str:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Node lists of the connected components, each sorted, in min-node order."""
-    seen = [False] * g.node_count
-    comps = []
-    for s in range(g.node_count):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y, _i in g.neighbors(x):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
+    return disjoint_sets(g.node_count, [e[:2] for e in g.edges])
 
 
 def disjoint_sets(count: int, pairs) -> list[list[int]]:
@@ -541,14 +528,6 @@ def _bits(x: int) -> tuple[int, ...]:
     return tuple([i for i in range(x.bit_length()) if x >> i & 1])
 
 
-def _node_edge_masks(g: Graph) -> list[int]:
-    masks = [0] * g.node_count
-    for i, (u, v, _w) in enumerate(g.edges):
-        masks[u] |= 1 << i
-        masks[v] |= 1 << i
-    return masks
-
-
 def cut_from_side(g: Graph, side: Iterable[int]) -> Cut:
     """Cut for a node subset; canonicalized so node 0 is not in the side."""
     mask = 0
@@ -566,34 +545,41 @@ def cut_weight(g: Graph, cut: Cut) -> int:
     return sum(g.edges[i][2] for i in cut.edge_indices())
 
 
-def enumerate_cuts(g: Graph) -> list[Cut]:
-    """All distinct cuts (2^(n-c) indicator vectors for c components).
+def _crossings(g: Graph, cells: int = 1 << 16):
+    """Every side of g in increasing mask order, node 0 never in a side,
+    in chunks of about `cells` entries: yields (sides, rows), the side
+    masks and the 0/1 rows of the edges each side cuts."""
+    us, vs = np.array([e[:2] for e in g.edges],
+                      dtype=np.int64).reshape(-1, 2).T
+    count = 1 << max(g.node_count - 1, 0)
+    step = max(1, cells // max(1, len(g.edges)))
+    for start in range(0, count, step):
+        sides = np.arange(start, min(count, start + step), dtype=np.int64) << 1
+        yield sides, ((sides[:, None] >> us) ^ (sides[:, None] >> vs)) & 1
 
-    Deduplicated by indicator, keeping the smallest side mask; output
-    sorted by side mask.  Guarded at 24 nodes.
-    """
-    n = g.node_count
-    if n > 24:
+
+def _distinct_cuts(g: Graph) -> tuple[list[int], np.ndarray, list[bytes]]:
+    """The 2^(n-c) distinct cuts of g (c components), each with the first
+    (smallest) side mask that cuts its edges: side masks, 0/1 rows and the
+    rows packed little-endian, in side order.  Guarded at 24 nodes."""
+    if g.node_count > 24:
         raise SizeLimitError("enumerate_cuts guard: node_count <= 24")
-    if n == 0:
-        return [Cut(0, 0)]
-    masks = _node_edge_masks(g)
-    best: dict[int, int] = {}
-    ind = 0
-    side = 0
-    best[0] = 0
-    # Gray-code walk over subsets of nodes 1..n-1
-    for t in range(1, 1 << (n - 1)):
-        bit = (t & -t).bit_length() - 1  # node bit+1 flips
-        side ^= 1 << (bit + 1)
-        ind ^= masks[bit + 1]
-        prev = best.get(ind)
-        if prev is None or side < prev:
-            best[ind] = side
-    return [Cut(s, i) for i, s in sorted(best.items(), key=lambda kv: kv[1])]
+    sides, rows = map(np.concatenate, zip(*_crossings(g)))
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(np.packbits(rows, axis=1, bitorder="little")):
+        first.setdefault(key.tobytes(), i)
+    keep = list(first.values())
+    return sides[keep].tolist(), rows[keep], list(first)
+
+
+def enumerate_cuts(g: Graph) -> list[Cut]:
+    """All distinct cuts (2^(n-c) indicator vectors for c components),
+    each with its smallest side mask, sorted by side mask.  Guarded at 24
+    nodes."""
+    sides, _rows, packed = _distinct_cuts(g)
+    return [Cut(s, int.from_bytes(p, "little")) for s, p in zip(sides, packed)]
 
 
 def cut_vectors(g: Graph) -> list[tuple[int, ...]]:
     """Indicator vectors of all distinct cuts as 0/1 tuples."""
-    m = len(g.edges)
-    return [c.vector(m) for c in enumerate_cuts(g)]
+    return list(map(tuple, _distinct_cuts(g)[1].tolist()))

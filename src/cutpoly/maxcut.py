@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import (CertificationError, Cut, Graph, GraphError,
-                     NotTwoConnectedError, SizeLimitError, cut_from_side,
-                     cut_weight, is_k_connected)
+                     NotTwoConnectedError, SizeLimitError, _crossings,
+                     cut_from_side, cut_weight, is_k_connected)
 from . import planar as planar_mod
 from . import spqr as spqr_mod
 from . import tjoin as tjoin_mod
@@ -100,20 +100,12 @@ def _best_sides(g: Graph, forceds: list[tuple[int, bool] | None],
     argmax over the sides that keep its edge where it is pinned, the
     smallest side mask on ties.
     """
-    n = g.node_count
-    if n > 24:
+    if g.node_count > 24:
         raise SizeLimitError("maxcut_bruteforce guard: node_count <= 24")
-    if n == 0 or not g.edges:
-        return [(0, 0)] * len(forceds)
     dtype = np.int64 if g.abs_weight() < 1 << 63 else object
-    us, vs = np.array([(u, v) for u, v, _w in g.edges]).T
     ws = np.array([w for _u, _v, w in g.edges], dtype=dtype)
-    count = 1 << (n - 1)
-    step = max(1, _CELLS // len(g.edges))
     best: list = [(None, 0)] * len(forceds)
-    for start in range(0, count, step):
-        sides = np.arange(start, min(count, start + step), dtype=np.int64) << 1
-        cross = ((sides[:, None] >> us) ^ (sides[:, None] >> vs)) & 1
+    for sides, cross in _crossings(g, _CELLS):
         values = cross.astype(dtype, copy=False) @ ws
         for k, forced in enumerate(forceds):
             if forced is None:

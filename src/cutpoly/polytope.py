@@ -33,8 +33,8 @@ from operator import mul
 import numpy as np
 
 from .graphs import (CertificationError, Cut, Graph, GraphError,
-                     SizeLimitError, chordless_cycles, compact_graph,
-                     cut_vectors, enumerate_cuts, triangles)
+                     SizeLimitError, _distinct_cuts, chordless_cycles,
+                     compact_graph, cut_vectors, enumerate_cuts)
 from . import minors as minors_mod
 from . import spqr as spqr_mod
 from .spqr import K33MinorError
@@ -180,7 +180,8 @@ def _guard(g: Graph, q: LinearInequality | None = None) -> None:
 
 def is_valid(g: Graph, q: LinearInequality) -> bool:
     _guard(g, q)
-    return all(q.evaluate(x) <= q.rhs for x in cut_vectors(g))
+    values = _distinct_cuts(g)[1] @ np.array(q.coeffs, dtype=object)
+    return bool((values <= q.rhs).all())
 
 
 def is_facet(g: Graph, q: LinearInequality) -> bool:
@@ -188,7 +189,7 @@ def is_facet(g: Graph, q: LinearInequality) -> bool:
     if max(map(abs, (*q.coeffs, q.rhs))) >= 1 << 31:
         raise SizeLimitError("is_facet guard: |coefficients| < 2^31")
     coeffs = np.array([q.coeffs], dtype=np.int64).reshape(1, len(g.edges))
-    return bool(_facet_mask(_cut_matrix(g), coeffs,
+    return bool(_facet_mask(_distinct_cuts(g)[1], coeffs,
                             np.array([q.rhs], dtype=np.int64))[0])
 
 
@@ -197,10 +198,6 @@ _PRIME = 2_147_483_647
 _WEIGHT_SEED = 2019
 # entries per temporary array in the batched steps, which bounds their memory
 _CELLS = 1 << 10
-
-
-def _cut_matrix(g: Graph) -> np.ndarray:
-    return np.array(cut_vectors(g), dtype=np.int64).reshape(-1, len(g.edges))
 
 
 def _facet_mask(cuts: np.ndarray, coeffs: np.ndarray,
@@ -515,11 +512,12 @@ def _maximal_k33free_facets(g: Graph, pieces) -> list[LinearInequality]:
     its pieces (sorted node tuple, edge pairs): the union of the pieces'
     facet systems on shared variables.
 
-    Triangulation pieces contribute their edge+cycle facets (computed on
-    the piece, which may include chordless cycles longer than triangles);
-    K5 pieces contribute their metric inequalities and the 16 switchings
-    of the K5 inequality.  A piece that is neither, or has an edge
-    missing from g, is refused.
+    Every piece contributes its edge+cycle facets, computed on the piece:
+    a triangulation's may include chordless cycles longer than triangles,
+    and a K5's are the metric inequalities of its 10 triangles (its only
+    chordless cycles; no edge lies outside them).  K5 pieces add the 16
+    switchings of the K5 inequality.  A piece that is neither, or has an
+    edge missing from g, is refused.
     """
     out: list[LinearInequality] = []
     for nodes, pairs in pieces:
@@ -529,15 +527,10 @@ def _maximal_k33free_facets(g: Graph, pieces) -> list[LinearInequality]:
                 or not all(g.has_edge(u, v) for u, v in pairs):
             raise CertificationError("piece is not a K5 or a triangulation "
                                      "of the completed graph")
+        ineqs = _edge_cycle_facets(sub)
         if k5:
-            ineqs = [switch(hypermetric_k5(sub, range(5)), c)
-                     for c in enumerate_cuts(sub)]
-            for tri in triangles(sub):
-                tri_idx = [sub.edge_index(a, b)
-                           for a, b in itertools.combinations(tri, 2)]
-                ineqs.extend(metric_inequalities(sub, tri_idx))
-        else:
-            ineqs = _edge_cycle_facets(sub)
+            ineqs += [switch(hypermetric_k5(sub, range(5)), c)
+                      for c in enumerate_cuts(sub)]
         cols = [g.edge_index(nodes[su], nodes[sv]) for su, sv, _w in sub.edges]
         for q in ineqs:
             coeffs = [0] * len(g.edges)
@@ -594,7 +587,7 @@ def fourier_motzkin_project(system: InequalitySystem,
                         edge_index)
     cands = list(found)
     facet = _facet_mask(
-        _cut_matrix(newg),
+        _distinct_cuts(newg)[1],
         np.array([c for c, _r in cands], dtype=np.int64).reshape(-1, m - 1),
         np.array([r for _c, r in cands], dtype=np.int64))
     return InequalitySystem.of(newg, [LinearInequality(c, r) for (c, r), f

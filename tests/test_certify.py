@@ -7,16 +7,19 @@ vector and its tight cut vectors have affine rank dim - 1.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from cutpoly import (CertificationError, Graph, LinearInequality,
                      SizeLimitError, brute_hull, cut_vectors,
-                     facet_description, fourier_motzkin_project, gen_k33free,
-                     GeneratorSpec, is_facet, maximal_completion, polytope_dim)
+                     facet_description, format_graph, fourier_motzkin_project,
+                     gen_k33free, GeneratorSpec, is_facet, maximal_completion,
+                     polytope_dim)
 from cutpoly import polytope
 from cutpoly.polytope import (InequalitySystem, _maximal_k33free_facets,
                               affine_rank)
-from helpers import complete, double_k5, maximal_pieces, octahedron
+from helpers import (complete, double_k5, maximal_pieces, octahedron,
+                     perfbench_module)
 
 
 def old_project(system, idx):
@@ -128,6 +131,42 @@ def test_projection_of_incomplete_system_keeps_only_facets(seed):
             assert max(values) <= q.rhs
             assert affine_rank([x for x, v in zip(vectors, values)
                                 if v == q.rhs]) == dim - 1
+
+
+def fm_filter_subset():
+    """The first graph of each edge-count stratum (m = 18, 14, 13, 17, 16)
+    of the benchmark's seed-1 `facets-nonstrict` pool, which its first
+    seven draws hold, and the three-piece non-strict graphs of seeds 4
+    and 5 (n 9, m 18)."""
+    workloads = perfbench_module("workloads")
+    pool, _rejected = workloads.make_pool(
+        workloads.WORKLOADS["facets-nonstrict"], 1, 7, gen_k33free,
+        GeneratorSpec, format_graph)
+    firsts = {len(inst.edges): inst for inst in reversed(pool)}.values()
+    return ([Graph(inst.node_count, list(inst.edges)) for inst in firsts]
+            + [non_strict(seed, 3, (4, 4)) for seed in (4, 5)])
+
+
+def test_fm_filter_drops_no_facet(monkeypatch):
+    """Fourier-Motzkin keeps only candidates with entries in {-1, 0, 1}.
+    Without that filter, the facet lists of the subset are the same,
+    although the projections there do form wider candidates."""
+    graphs = fm_filter_subset()
+    want = [facet_description(g) for g in graphs]
+    wide = []
+
+    def unfiltered(found, rows, rhs, col):
+        rows = np.delete(rows, col, axis=1)
+        nonzero = rows.any(axis=1)
+        rows, rhs = rows[nonzero], rhs[nonzero]
+        div = np.gcd(np.gcd.reduce(np.abs(rows), axis=1), np.abs(rhs))
+        rows, rhs = rows // div[:, None], rhs // div
+        wide.append(int((np.abs(rows) > 1).any(axis=1).sum()))
+        found.update(zip(map(tuple, rows.tolist()), rhs.tolist()))
+
+    monkeypatch.setattr(polytope, "_add_candidates", unfiltered)
+    assert [facet_description(g) for g in graphs] == want
+    assert sum(wide) > 0
 
 
 def counting_affine_rank(monkeypatch):

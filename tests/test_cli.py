@@ -1,11 +1,13 @@
+import dataclasses
 import importlib
 import random
+import warnings
 
 import pytest
 
-from cutpoly import (GeneratorSpec, Graph, blocks, cli, format_graph,
-                     gen_k33free, has_minor, k33_decompose, minors,
-                     parse_graph, polytope, spqr)
+from cutpoly import (GeneratorSpec, Graph, blocks, brute_hull, classify, cli,
+                     format_graph, gen_k33free, has_minor, k33_decompose,
+                     maxcut_bruteforce, minors, parse_graph, polytope, spqr)
 from cutpoly.cli import main
 from cutpoly.maxcut import EliminationState
 from helpers import complete, cycle, double_k5, k33, path, run_python, \
@@ -76,6 +78,99 @@ def test_classify_command(tmp_path, capsys):
     assert lines[0] == "simple no"
     assert lines[2] == "simplicial yes"
     assert lines[1].startswith("reason ") and lines[3].startswith("reason ")
+
+
+@pytest.mark.parametrize("text, nodes", [
+    ("p cut 7 4\ne 2 3 1\ne 3 4 1\ne 4 5 1\ne 5 2 1\n", (2, 3, 4, 5)),
+    ("p cut 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 1 1\n", (1, 2, 3, 4))])
+def test_classify_names_the_c4_block_by_input_ids(text, nodes, tmp_path,
+                                                  capsys):
+    """The C4-minor block is named by the file's 1-indexed node ids, with
+    isolated nodes or without, and the report's witness by g's own ids."""
+    f = tmp_path / "c4.cut"
+    f.write_text(text)
+    code, out, _ = run_cli(["classify", str(f)], capsys)
+    assert code == 0 and out.splitlines()[1] == (
+        f"reason block on nodes {nodes} is neither an edge nor a triangle "
+        "(C4 minor)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = classify(parse_graph(text))
+    assert rep.c4_witness == tuple(v - 1 for v in nodes)
+
+
+# stdout of each command on graphs without edges, or with several
+# components and isolated nodes (nodes 6 and 8 here)
+EDGE_CASES = {
+    "p cut 0 0\n": {
+        "maxcut": "value 0\nside\n",
+        "facets": "dim 0 count 0\n",
+        "classify": "simple yes\nreason trivial polytope\nsimplicial yes\n"
+                    "reason trivial polytope\n",
+        "verify": "maxcut ok value 0\nfacets ok count 0\n"
+                  "classify ok simple=yes simplicial=yes\n"},
+    "p cut 3 0\n": {
+        "maxcut": "value 0\nside\n",
+        "facets": "dim 0 count 0\n",
+        "classify": "simple yes\nreason trivial polytope\nsimplicial yes\n"
+                    "reason trivial polytope\n",
+        "verify": "maxcut ok value 0\nfacets ok count 0\n"
+                  "classify ok simple=yes simplicial=yes\n"},
+    "p cut 8 5\ne 1 3 2\ne 3 4 -1\ne 2 5 3\ne 5 7 1\ne 2 7 4\n": {
+        "maxcut": "value 9\nside 2 3 4\n",
+        "facets": "dim 5 count 8\n-1 0 0 0 0 <= 0\n0 -1 0 0 0 <= 0\n"
+                  "0 0 -1 -1 1 <= 0\n0 0 -1 1 -1 <= 0\n0 0 1 -1 -1 <= 0\n"
+                  "0 0 1 1 1 <= 2\n0 1 0 0 0 <= 1\n1 0 0 0 0 <= 1\n",
+        "classify": "simple yes\nreason every block is an edge or a triangle"
+                    "\nsimplicial no\nreason five or more non-isolated "
+                    "nodes\n",
+        "verify": "maxcut ok value 9\nfacets ok count 8\n"
+                  "classify ok simple=yes simplicial=no\n"}}
+
+
+@pytest.mark.parametrize("text, command", [
+    (text, command) for text in EDGE_CASES for command in EDGE_CASES[text]])
+def test_edge_case_graphs_print_exact_output(text, command, tmp_path, capsys):
+    f = tmp_path / "g.cut"
+    f.write_text(text)
+    argv = ["maxcut", "--brute", "--witness"] if command == "maxcut" \
+        else [command]
+    code, out, _ = run_cli([*argv, str(f)], capsys)
+    assert code == 0 and out == EDGE_CASES[text][command]
+
+
+def _value_one_more(g):
+    res = maxcut_bruteforce(g)
+    return dataclasses.replace(res, value=res.value + 1)
+
+
+@pytest.mark.parametrize("owner, name, fake, line", [
+    (cli, "maxcut_bruteforce", _value_one_more, "maxcut MISMATCH 4 != 5"),
+    (polytope, "brute_hull", lambda vectors: brute_hull(vectors)[1:],
+     "facets MISMATCH 16 vs hull 15"),
+    (cli, "hull_verdicts", lambda _vectors, _hull: (True, True),
+     "classify MISMATCH against hull incidences")])
+def test_verify_reports_each_stage_mismatch(owner, name, fake, line, tmp_path,
+                                            monkeypatch, capsys):
+    """An oracle that disagrees with its stage on C4 gives that stage's
+    mismatch line and exit 1."""
+    f = tmp_path / "c4.cut"
+    f.write_text(format_graph(cycle(4)))
+    monkeypatch.setattr(owner, name, fake)
+    code, out, _ = run_cli(["verify", str(f)], capsys)
+    assert code == 1 and line in out.splitlines()
+
+
+def test_verify_skips_stages_past_the_cut_enumeration_guard(tmp_path, capsys):
+    """On 25 nodes both enumerations refuse, and verify reports each
+    guard word for word and exits 0."""
+    f = tmp_path / "wide.cut"
+    f.write_text("p cut 25 1\ne 1 2 5\n")
+    code, out, _ = run_cli(["verify", str(f)], capsys)
+    assert code == 0 and out.splitlines() == [
+        "maxcut skipped (maxcut_bruteforce guard: node_count <= 24)",
+        "facets skipped (enumerate_cuts guard: node_count <= 24)",
+        "classify ok simple=yes simplicial=yes"]
 
 
 @pytest.mark.parametrize("command, out", [

@@ -8,12 +8,13 @@ import pytest
 
 from cutpoly import (DuplicateEdgeError, Graph, GraphError, NodeRangeError,
                      NotTwoConnectedError, ParseError, SelfLoopError,
-                     SizeLimitError, blocks, chordless_cycles, cut_from_side,
+                     SizeLimitError, blocks, chordless_cycles,
+                     connected_components, cut_from_side, cut_vectors,
                      cut_weight, ear_decomposition, enumerate_cuts,
                      format_graph, is_connected, is_k_connected, k5_subgraphs,
                      parse_graph, triangles)
 from cutpoly.cli import main
-from cutpoly.graphs import Cut, _node_edge_masks
+from cutpoly.graphs import Cut
 from helpers import complete, cycle, path, random_graph, shape_corpus
 
 
@@ -234,7 +235,7 @@ def test_enumerate_cuts_counts():
     assert len(enumerate_cuts(Graph(4, [(0, 1, 1), (2, 3, 1)]))) == 4
     for seed in range(20):
         g = random_graph(seed, nmax=8)
-        comps = len([1 for _ in __import__("cutpoly").connected_components(g)])
+        comps = len(connected_components(g))
         assert len(enumerate_cuts(g)) == 2 ** (g.node_count - comps)
 
 
@@ -243,6 +244,15 @@ def test_cut_canonical_side():
     c = cut_from_side(g, [0, 1])
     assert c.side == 0b100  # complemented: node 0 stays out
     assert cut_weight(g, c) == 2
+
+
+def _node_edge_masks(g):
+    """Per node, the bitmask of the edges at it."""
+    masks = [0] * g.node_count
+    for i, (u, v, _w) in enumerate(g.edges):
+        masks[u] |= 1 << i
+        masks[v] |= 1 << i
+    return masks
 
 
 def _cut_by_node_masks(g, side):
@@ -285,6 +295,22 @@ def test_cut_cycle_even_intersection():
                          for i in range(len(cyc))]
                 crossing = sum((c.indicator >> e) & 1 for e in edges)
                 assert crossing % 2 == 0
+
+
+@pytest.mark.parametrize("g, cuts", [
+    (Graph(0, []), [(0, 0)]),
+    (Graph(3, []), [(0, 0)]),
+    # components {0, 2, 3}, {1, 4, 6} and the isolated nodes 5 and 7
+    (Graph(8, [(0, 2, 2), (2, 3, -1), (1, 4, 3), (4, 6, 1), (1, 6, 4)]),
+     [(0, 0), (2, 20), (4, 3), (6, 23), (8, 2), (10, 22), (12, 1), (14, 21),
+      (16, 12), (18, 24), (20, 15), (22, 27), (24, 14), (26, 26), (28, 13),
+      (30, 25)])])
+def test_enumerate_cuts_on_edgeless_and_disconnected_graphs(g, cuts):
+    """2^(n-c) cuts, each with its smallest side mask, in side order, and
+    cut_vectors their indicators, also with no edge or no node."""
+    assert len(cuts) == 2 ** (g.node_count - len(connected_components(g)))
+    assert [(c.side, c.indicator) for c in enumerate_cuts(g)] == cuts
+    assert cut_vectors(g) == [Cut(s, i).vector(len(g.edges)) for s, i in cuts]
 
 
 def test_enumerate_cuts_guard():

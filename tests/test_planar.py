@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from cutpoly import (DisconnectedError, GeneratorSpec, Graph, decompose_blocks,
-                     dual_graph, enumerate_cuts, faces_of, gen_k33free,
-                     is_k_connected, minor_exhaustive, planar_embed)
+from cutpoly import (DisconnectedError, GeneratorSpec, Graph, blocks,
+                     decompose_blocks, dual_graph, enumerate_cuts, faces_of,
+                     gen_k33free, is_k_connected, minor_exhaustive,
+                     planar_embed)
 from cutpoly.planar import (_embed_biconnected, _embed_triangulation,
                             _face_walks)
 from cutpoly.spqr import _skeleton_graph
@@ -25,6 +26,37 @@ def test_k5_and_k33_nonplanar():
     assert planar_embed(complete(5)) is None
     assert planar_embed(k33()) is None
 
+
+@pytest.mark.parametrize("block", [complete(5), k33()])
+def test_nonplanar_block_behind_a_cut_node(block):
+    """A pendant edge gives K5 or K3,3 a cut node and keeps the edge count
+    under 3n - 6, so the non-planar block is refused block by block."""
+    n = block.node_count
+    g = Graph(n + 1, [*block.edges, (0, n, 1)])
+    assert blocks(g).cut_nodes == {0} and len(g.edges) <= 3 * (n + 1) - 6
+    assert planar_embed(g) is None
+
+
+def test_embedding_with_cut_nodes_matches_networkx():
+    """On two random dense graphs glued at one node, `planar_embed`
+    embeds exactly the graphs networkx finds planar."""
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(21)
+    verdicts = [0, 0]
+    while min(verdicts) < 40:
+        sizes = rnd.randint(3, 7), rnd.randint(3, 7)
+        shift = sizes[0] - 1  # the second graph's node 0 is the first's last
+        edges = [(u + k * shift, v + k * shift, 1)
+                 for k, size in enumerate(sizes)
+                 for u, v in itertools.combinations(range(size), 2)
+                 if rnd.random() < 0.75]
+        g = Graph(sum(sizes) - 1, edges)
+        if not is_k_connected(g, 1) or not blocks(g).cut_nodes:
+            continue
+        h = nx.Graph(e[:2] for e in g.edges)
+        emb = planar_embed(g)
+        assert (emb is not None) == nx.check_planarity(h)[0], g.edges
+        verdicts[emb is not None] += 1
 
 def test_c4_faces_and_dual():
     emb = planar_embed(cycle(4))

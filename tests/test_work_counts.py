@@ -94,21 +94,18 @@ def test_maxcut_builds_each_graph_once(n, monkeypatch):
     of n nodes, each one block, builds no Graph for the block (it is g
     itself) and one for each S and R skeleton, the one its classification
     or its solve reads, and none for a skeleton that is the whole block;
-    the block split is its only lowpoint pass.  Its witnesses are read
-    off the edge list, with no per-node edge masks."""
+    the block split is its only lowpoint pass."""
     chain = gen_k33free(GeneratorSpec(seed=n, component_count=n // 8))
     tri = stacked_triangulation(n, random.Random(n))
     built = []
     for g in (chain, tri):
-        masks = []
-        counting(monkeypatch, graphs_mod, "_node_edge_masks", masks)
         _result, work = tree_work(monkeypatch, maxcut, g)
         (block,) = decomposed(g)
         expected = [] if len(block.tree.nodes) == 1 else [
             spqr._skeleton_graph(sn)[0].edges for sn in block.tree.nodes
             if sn.kind != "P"]
         assert sorted(h.edges for h, *_ in work["graphs"]) == sorted(expected)
-        assert work["passes"] == [[]] and not masks
+        assert work["passes"] == [[]]
         built.append(len(expected))
     assert built[0] >= n // 8 and built[1] == 0
 
