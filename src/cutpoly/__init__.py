@@ -6,9 +6,8 @@ from .graphs import (BlockDecomposition, CertificationError, Cut,
                      NotTwoConnectedError, ParseError, SelfLoopError,
                      SizeLimitError, blocks,
                      chordless_cycles, connected_components, cut_from_side,
-                     cut_vectors, cut_weight, ear_decomposition,
-                     enumerate_cuts, format_graph, is_connected,
-                     is_k_connected, k5_subgraphs, parse_graph, triangles)
+                     cut_vectors, cut_weight, enumerate_cuts, format_graph,
+                     is_connected, is_k_connected, parse_graph, triangles)
 from .minors import has_minor, is_c4_minor_free, minor_exhaustive
 from .planar import (DisconnectedError, DualGraph, Embedding, dual_graph,
                      faces_of, planar_embed)
@@ -24,7 +23,7 @@ from .polytope import (InequalitySystem, LinearInequality, brute_hull,
                        cycle_inequality, edge_inequalities,
                        facet_description, fourier_motzkin_project,
                        hypermetric_k5, is_facet, is_valid,
-                       metric_inequalities, polytope_dim, switch)
+                       metric_inequalities, switch)
 from .classify import ClassificationReport, brute_classify, classify
 from .generate import GeneratorSpec, Xoshiro256StarStar, gen_k33free
 
@@ -42,13 +41,13 @@ __all__ = [
     "augment_with_parallel_originals", "blocks", "brute_classify",
     "brute_hull", "chordless_cycles", "classify", "connected_components",
     "cut_from_side", "cut_vectors", "cut_weight", "cycle_inequality",
-    "decompose_blocks", "dual_graph", "ear_decomposition", "edge_inequalities", "enumerate_cuts",
+    "decompose_blocks", "dual_graph", "edge_inequalities", "enumerate_cuts",
     "facet_description", "faces_of", "format_graph",
     "fourier_motzkin_project", "gen_k33free", "has_minor", "hypermetric_k5",
     "is_c4_minor_free", "is_connected", "is_facet", "is_k_connected",
-    "is_valid", "k33_decompose", "k5_subgraphs", "maxcut",
+    "is_valid", "k33_decompose", "maxcut",
     "maxcut_bruteforce", "maximal_completion", "metric_inequalities",
     "minor_exhaustive", "min_weight_perfect_matching", "min_weight_t_join",
-    "parse_graph", "planar_embed", "planar_maxcut", "polytope_dim",
+    "parse_graph", "planar_embed", "planar_maxcut",
     "recompose", "spr_tree", "switch", "triangles",
 ]

@@ -144,6 +144,8 @@ def cmd_verify(args) -> int:
             lines.append("facets skipped (hull guard)")
     except SizeLimitError as exc:
         lines.append(f"facets skipped ({exc})")
+    except K33MinorError:
+        lines.append("facets skipped (K5 and K33 minors)")
 
     try:
         rep = classify_graph(g)
@@ -250,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tri-size", default="4:6")
     q.add_argument("--non-strict", action="store_true")
     q.add_argument("--delete-prob", default="0/1")
-    q.add_argument("--weights", default="-10:10")
+    q.add_argument("--weights", default="-10:10",
+                   help="weight range, as --weights=LO:HI when LO < 0")
     q.add_argument("--out")
     q.set_defaults(func=cmd_gen)
     return p

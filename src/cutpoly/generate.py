@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, disjoint_sets
+from .graphs import MAX_WEIGHT, Graph, GraphError, disjoint_sets
 
 _MASK = (1 << 64) - 1
 
@@ -89,8 +89,11 @@ class GeneratorSpec:
         num, den = self.deletion_prob
         if den <= 0 or num < 0 or num > den:
             raise GraphError("deletion probability must be a fraction in [0, 1]")
-        if self.weight_range[0] > self.weight_range[1]:
+        lo, hi = self.weight_range
+        if lo > hi:
             raise GraphError("empty weight range")
+        if max(-lo, hi) > MAX_WEIGHT:
+            raise GraphError(f"|weight| exceeds {MAX_WEIGHT}")
 
 
 def _component_edges(rng: Xoshiro256StarStar, kind: str,

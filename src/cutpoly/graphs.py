@@ -106,9 +106,6 @@ class Graph:
     def weight(self, index: int) -> int:
         return self.edges[index][2]
 
-    def total_weight(self) -> int:
-        return sum(w for _u, _v, w in self.edges)
-
     def abs_weight(self) -> int:
         return sum(abs(w) for _u, _v, w in self.edges)
 
@@ -341,9 +338,9 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """k-connectivity (k in {1,2,3}).
 
     Requires node_count > k for k >= 2, so K2 is connected but not
-    2-connected, matching the ear-decomposition characterization.  G is
-    2-connected iff it is connected without cut nodes, and 3-connected iff
-    every G-v is: the cut nodes of G-v by one masked lowpoint sweep.
+    2-connected.  G is 2-connected iff it is connected without cut nodes,
+    and 3-connected iff every G-v is: the cut nodes of G-v by one masked
+    lowpoint sweep.
     """
     if k not in (1, 2, 3):
         raise GraphError("k must be 1, 2 or 3")
@@ -365,16 +362,6 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
             if x > v and g.has_edge(v, x):
                 out.append((u, v, x))
     return sorted(set(out))
-
-
-def k5_subgraphs(g: Graph) -> list[tuple[int, ...]]:
-    """All 5-node sets inducing a complete graph."""
-    cand = [v for v in range(g.node_count) if g.degree(v) >= 4]
-    out = []
-    for combo in itertools.combinations(cand, 5):
-        if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
-            out.append(combo)
-    return out
 
 
 def chordless_cycles(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
@@ -450,59 +437,6 @@ def initial_cycle(g: Graph) -> list[int]:
     raise NotTwoConnectedError("no cycle through the component of node 0")
 
 
-def ear_decomposition(g: Graph) -> list[list[int]]:
-    """Open ear decomposition of a 2-connected graph.
-
-    First element is a cycle (closed node walk without the repeat); each
-    later element is a path whose endpoints, and only they, lie in the
-    union of the earlier pieces.
-    """
-    if not is_k_connected(g, 2):
-        raise NotTwoConnectedError("ear decomposition needs a 2-connected graph")
-    cycle = initial_cycle(g)
-    pieces = [cycle]
-    in_h = set(cycle)
-    used = {g.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])
-            for i in range(len(cycle))}
-    while len(used) < len(g.edges):
-        cand = min(i for i in range(len(g.edges)) if i not in used
-                   and (g.edges[i][0] in in_h or g.edges[i][1] in in_h))
-        u, v, _w = g.edges[cand]
-        if v in in_h and u not in in_h:
-            u, v = v, u
-        if v in in_h:
-            pieces.append([u, v])
-            used.add(cand)
-            continue
-        # walk from v through new nodes until hitting H again, avoiding u
-        pred = {v: u}
-        frontier = [v]
-        hit = None
-        while hit is None:
-            nxt = []
-            for x in frontier:
-                for y, _i in g.neighbors(x):
-                    if y == u or y in pred:
-                        continue
-                    pred[y] = x
-                    if y in in_h:
-                        hit = y
-                        break
-                    nxt.append(y)
-                if hit is not None:
-                    break
-            frontier = nxt
-        path = [hit]
-        while path[-1] != u:
-            path.append(pred[path[-1]])
-        path.reverse()  # u ... hit
-        pieces.append(path)
-        for i in range(len(path) - 1):
-            used.add(g.edge_index(path[i], path[i + 1]))
-        in_h.update(path)
-    return pieces
-
-
 # -- cuts ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -545,14 +479,18 @@ def cut_weight(g: Graph, cut: Cut) -> int:
     return sum(g.edges[i][2] for i in cut.edge_indices())
 
 
-def _crossings(g: Graph, cells: int = 1 << 16):
+# entries per chunk of _crossings, which bounds its temporary memory
+_CELLS = 1 << 16
+
+
+def _crossings(g: Graph):
     """Every side of g in increasing mask order, node 0 never in a side,
-    in chunks of about `cells` entries: yields (sides, rows), the side
+    in chunks of about `_CELLS` entries: yields (sides, rows), the side
     masks and the 0/1 rows of the edges each side cuts."""
     us, vs = np.array([e[:2] for e in g.edges],
                       dtype=np.int64).reshape(-1, 2).T
     count = 1 << max(g.node_count - 1, 0)
-    step = max(1, cells // max(1, len(g.edges)))
+    step = max(1, _CELLS // max(1, len(g.edges)))
     for start in range(0, count, step):
         sides = np.arange(start, min(count, start + step), dtype=np.int64) << 1
         yield sides, ((sides[:, None] >> us) ^ (sides[:, None] >> vs)) & 1

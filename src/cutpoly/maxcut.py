@@ -30,8 +30,6 @@ from . import tjoin as tjoin_mod
 from .spqr import K33MinorError
 
 
-# entries per temporary array in _best_sides, which bounds its memory
-_CELLS = 1 << 16
 # skeletons up to this size are solved by enumeration (see _skeleton_cuts)
 MAX_ENUMERATED_NODES = 10
 
@@ -105,7 +103,7 @@ def _best_sides(g: Graph, forceds: list[tuple[int, bool] | None],
     dtype = np.int64 if g.abs_weight() < 1 << 63 else object
     ws = np.array([w for _u, _v, w in g.edges], dtype=dtype)
     best: list = [(None, 0)] * len(forceds)
-    for sides, cross in _crossings(g, _CELLS):
+    for sides, cross in _crossings(g):
         values = cross.astype(dtype, copy=False) @ ws
         for k, forced in enumerate(forceds):
             if forced is None:
@@ -246,9 +244,6 @@ class EliminationState:
         self.steps: list[EliminationStep] = []
 
     # -- tree queries ----------------------------------------------------
-
-    def alive(self) -> list[int]:
-        return sorted(self.adj)
 
     def eligible_leaves(self) -> list[int]:
         """S/R leaves ready for elimination (P leaves dissolve on their own)."""

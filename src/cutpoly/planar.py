@@ -38,17 +38,13 @@ class DisconnectedError(GraphError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """Rotation system of a planar graph, with its faces.
-
-    rotation[v] lists the edge indices around v in cyclic order.  The faces
-    are walked once, when the embedding is built: `faces` holds each face
-    boundary as a walk of darts (u, v), and `face_of_dart` maps every dart
-    to its face id.  Both name nodes, not edge indices, so they stay valid
-    when the rotation is re-indexed to another numbering of the same node
+    """Faces of a planar embedding of `graph`, walked once when it is
+    built: `faces` holds each face boundary as a walk of darts (u, v), and
+    `face_of_dart` maps every dart to its face id.  Both name nodes, not
+    edge indices, so they stay valid for another graph on the same node
     pairs.
     """
     graph: Graph
-    rotation: tuple[tuple[int, ...], ...]
     faces: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
     face_of_dart: dict[tuple[int, int], int] = field(repr=False,
                                                      compare=False)
@@ -363,12 +359,11 @@ def planar_embed(g: Graph) -> Embedding | None:
 
 
 def _face_walks(g: Graph, rot: list[list[int]]
-                ) -> tuple[tuple[tuple[int, ...], ...],
-                           tuple[tuple[tuple[int, int], ...], ...],
+                ) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
                            dict[tuple[int, int], int]]:
     """Certify the neighbor rotation system `rot` of the connected graph g
-    as a planar embedding and traverse all its faces; return (rotation
-    as edge indices, dart walks, dart -> face id map).
+    as a planar embedding and traverse all its faces; return (dart walks,
+    dart -> face id map).
 
     Each rotation must list each of its node's neighbours once.
     Traversal starts from the lexicographically smallest unused dart, so
@@ -376,14 +371,11 @@ def _face_walks(g: Graph, rot: list[list[int]]
     formula f = m - n + 2, which certifies the rotation system as a
     planar (genus 0) embedding.
     """
-    rotation: list[tuple[int, ...]] = []
     succ: list[dict[int, int]] = []
     for adj, orbit in zip(g._adj, rot):
-        index = dict(adj)
         nxt = dict(zip(orbit, orbit[1:] + orbit[:1]))
-        if len(orbit) != len(index) or nxt.keys() != index.keys():
+        if len(orbit) != len(adj) or nxt.keys() != dict(adj).keys():
             raise CertificationError("a rotation lists each neighbour once")
-        rotation.append(tuple(map(index.__getitem__, orbit)))
         succ.append(nxt)
     walks: list[tuple[tuple[int, int], ...]] = []
     face_of_dart: dict[tuple[int, int], int] = {}
@@ -403,7 +395,7 @@ def _face_walks(g: Graph, rot: list[list[int]]
     if len(walks) != len(g.edges) - g.node_count + 2:
         raise CertificationError(
             "face count breaks Euler's formula f = m - n + 2")
-    return tuple(rotation), tuple(walks), face_of_dart
+    return tuple(walks), face_of_dart
 
 
 def faces_of(emb: Embedding) -> list[list[int]]:

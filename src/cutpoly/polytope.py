@@ -34,7 +34,7 @@ import numpy as np
 
 from .graphs import (CertificationError, Cut, Graph, GraphError,
                      SizeLimitError, _distinct_cuts, chordless_cycles,
-                     compact_graph, cut_vectors, enumerate_cuts)
+                     compact_graph, enumerate_cuts)
 from . import minors as minors_mod
 from . import spqr as spqr_mod
 from .spqr import K33MinorError
@@ -72,9 +72,6 @@ class InequalitySystem:
     def of(graph: Graph, ineqs) -> "InequalitySystem":
         return InequalitySystem(graph, tuple(sorted(set(ineqs),
                                                     key=lambda q: (q.coeffs, q.rhs))))
-
-    def as_set(self) -> frozenset[LinearInequality]:
-        return frozenset(self.inequalities)
 
 
 # -- inequality generators -----------------------------------------------------
@@ -341,15 +338,6 @@ def _eliminate(rows: list[list[int]]) -> list[int]:
                 scale[i] = prev
         pivots.append(col)
     return pivots
-
-
-def polytope_dim(g: Graph) -> int:
-    """Affine rank of the cut vectors; always equals the edge count."""
-    _guard(g)
-    d = affine_rank(cut_vectors(g))
-    if d != len(g.edges):
-        raise CertificationError("cut polytope dimension must equal |E|")
-    return d
 
 
 # -- convex hull oracle (double description) -----------------------------------

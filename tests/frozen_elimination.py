@@ -107,17 +107,14 @@ class FrozenElimination:
                 for res in results]
 
     def _embedding(self, sid, sg):
-        """An R skeleton's classification embedding, its rotation
-        renumbered through node pairs; an S cycle embedded afresh."""
+        """An R skeleton's classification embedding, moved onto sg (its
+        faces name node pairs); an S cycle embedded afresh."""
         if sid not in self.r_skeletons:
             return planar_embed(sg)
         _cls, emb, _sg = self.r_skeletons[sid]
         if emb is None:
             raise NonPlanarError("skeleton is not planar")
-        pairs = emb.graph.edges
-        rotation = tuple(tuple(sg.edge_index(*pairs[i][:2]) for i in orbit)
-                         for orbit in emb.rotation)
-        return replace(emb, graph=sg, rotation=rotation)
+        return replace(emb, graph=sg)
 
     def eliminate(self, leaf: int) -> FrozenStep:
         if leaf not in self.adj or len(self.adj[leaf]) != 1 \

@@ -16,7 +16,8 @@ from cutpoly import (GeneratorSpec, Graph, LinearInequality, brute_classify,
                      gen_k33free, hypermetric_k5, is_c4_minor_free, is_facet,
                      k33_decompose, maxcut, maxcut_bruteforce,
                      metric_inequalities, minor_exhaustive, planar_maxcut,
-                     polytope_dim, recompose, spr_tree, switch, triangles)
+                     recompose, spr_tree, switch, triangles)
+from cutpoly.polytope import affine_rank
 from helpers import (complete, connected_graphs_up_to_iso, cycle, double_k5,
                      forced_cut_optimum, path, random_2connected,
                      random_planar_2connected)
@@ -213,10 +214,10 @@ def test_criterion_8_property_suites():
                 hits = sum((c.indicator >> g.edge_index(cyc[i], cyc[(i + 1) % len(cyc)])) & 1
                            for i in range(len(cyc)))
                 assert hits % 2 == 0
-    # polytope_dim on assorted graphs
+    # the cut vectors of assorted graphs affinely span R^E (full dimension)
     for g in (complete(3), complete(5), cycle(6), double_k5(),
               Graph(2, [(0, 1, 1)])):
-        assert polytope_dim(g) == len(g.edges)
+        assert affine_rank(cut_vectors(g)) == len(g.edges)
     # SPR recomposition round-trip on 100 random 2-connected graphs
     done = 0
     seed = 0

@@ -13,8 +13,7 @@ import pytest
 from cutpoly import (CertificationError, Graph, LinearInequality,
                      SizeLimitError, brute_hull, cut_vectors,
                      facet_description, format_graph, fourier_motzkin_project,
-                     gen_k33free, GeneratorSpec, is_facet, maximal_completion,
-                     polytope_dim)
+                     gen_k33free, GeneratorSpec, is_facet, maximal_completion)
 from cutpoly import polytope
 from cutpoly.polytope import (InequalitySystem, _maximal_k33free_facets,
                               affine_rank)
@@ -219,10 +218,5 @@ def test_is_facet_rejects_duplicated_face_and_invalid_rows():
     assert not is_facet(k5, LinearInequality((1,) + (0,) * 9, 1))
     with pytest.raises(SizeLimitError):  # the int64 product could overflow
         is_facet(k5, LinearInequality((1 << 31,) + (0,) * 9, 0))
-
-
-def test_polytope_dim_raises_certification_error(monkeypatch):
-    monkeypatch.setattr(polytope, "affine_rank", lambda _pts: 0)
-    with pytest.raises(CertificationError):
-        polytope_dim(complete(4))
+    # a failed certification is an internal fault, never an input error
     assert not issubclass(CertificationError, ValueError)

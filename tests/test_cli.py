@@ -298,10 +298,30 @@ def test_wrong_witness_exit_code(k5_file, monkeypatch, capsys):
 
 
 def test_verify_unsupported_class(tmp_path, capsys):
+    """K6 has K5 and K3,3 minors, and 15 edges: verify reports each
+    stage it cannot run and exits 0."""
     f = tmp_path / "k6.cut"
     f.write_text(format_graph(complete(6)))
-    code, _, err = run_cli(["verify", str(f)], capsys)
-    assert code == 3 and "unsupported" in err
+    code, out, _ = run_cli(["verify", str(f)], capsys)
+    assert code == 0 and out.splitlines() == [
+        "maxcut skipped (K33 minor)",
+        "facets skipped (K5 and K33 minors)",
+        "classify skipped (brute_classify guard: |E| <= 12)"]
+
+
+def test_verify_skips_facets_on_k5_and_k33_minors(tmp_path, capsys):
+    """K5 with edge 1-2 subdivided by node 6, plus edge 6-3, has both
+    minors; its 12 edges stay within the classify stage's guard."""
+    f = tmp_path / "k5_k33.cut"
+    f.write_text("p cut 6 12\n" + "".join(
+        f"e {u} {v} 1\n" for u, v in [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+                                      (2, 5), (3, 4), (3, 5), (4, 5), (1, 6),
+                                      (6, 2), (6, 3)]))
+    code, out, _ = run_cli(["verify", str(f)], capsys)
+    assert code == 0 and out.splitlines() == [
+        "maxcut skipped (K33 minor)",
+        "facets skipped (K5 and K33 minors)",
+        "classify ok simple=no simplicial=no"]
 
 
 def test_exit_code_input_error(tmp_path, capsys):
@@ -331,6 +351,20 @@ def test_gen_options_and_verify_round_trip(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(["verify", str(f)], capsys)
     assert code == 0, out
+
+
+@pytest.mark.parametrize("weights, code", [
+    ("--weights=-1099511627776:1099511627776", 0),
+    ("--weights=-1099511627777:1", 2), ("--weights=0:1099511627777", 2)])
+def test_gen_weights_stay_within_the_parser_bound(weights, code, tmp_path,
+                                                  capsys):
+    """gen accepts a weight range within +-2^40, which its own parser
+    reads back, and refuses one past it as an input error."""
+    f = tmp_path / "gen.cut"
+    assert run_cli(["gen", "--seed", "1", weights, "--out", str(f)],
+                   capsys)[0] == code
+    if code == 0:
+        assert run_cli(["maxcut", str(f)], capsys)[0] == 0
 
 
 def test_console_script_installed():

@@ -7,12 +7,10 @@ import sys
 import pytest
 
 from cutpoly import (DuplicateEdgeError, Graph, GraphError, NodeRangeError,
-                     NotTwoConnectedError, ParseError, SelfLoopError,
-                     SizeLimitError, blocks, chordless_cycles,
-                     connected_components, cut_from_side, cut_vectors,
-                     cut_weight, ear_decomposition, enumerate_cuts,
-                     format_graph, is_connected, is_k_connected, k5_subgraphs,
-                     parse_graph, triangles)
+                     ParseError, SelfLoopError, SizeLimitError, blocks,
+                     chordless_cycles, connected_components, cut_from_side,
+                     cut_vectors, cut_weight, enumerate_cuts, format_graph,
+                     is_connected, is_k_connected, parse_graph, triangles)
 from cutpoly.cli import main
 from cutpoly.graphs import Cut
 from helpers import complete, cycle, path, random_graph, shape_corpus
@@ -175,52 +173,6 @@ def test_chordless_cycles_are_induced_and_unique():
             for i, j in itertools.combinations(range(len(cyc)), 2):
                 consecutive = abs(i - j) in (1, len(cyc) - 1)
                 assert g.has_edge(cyc[i], cyc[j]) == consecutive
-
-
-def test_k5_subgraphs():
-    assert len(k5_subgraphs(complete(5))) == 1
-    assert len(k5_subgraphs(complete(6))) == 6
-    assert k5_subgraphs(cycle(4)) == []
-
-
-# -- ear decomposition -----------------------------------------------------------
-
-def test_ears_k3_c5_k4():
-    assert ear_decomposition(complete(3)) == [[0, 1, 2]]
-    assert len(ear_decomposition(cycle(5))) == 1
-    ears = ear_decomposition(complete(4))
-    assert len(ears[0]) == 3
-    assert sorted(len(p) - 1 for p in ears[1:]) == [1, 2]
-
-
-def test_ears_require_2_connected():
-    with pytest.raises(NotTwoConnectedError):
-        ear_decomposition(path(3))
-
-
-def test_ears_iff_2_connected_and_cover():
-    for seed in range(80):
-        g = random_graph(seed, nmax=7)
-        if is_k_connected(g, 2):
-            pieces = ear_decomposition(g)
-            used = set()
-            nodes_so_far = set(pieces[0])
-            count = len(pieces[0])
-            for i in range(len(pieces[0])):
-                used.add(g.edge_index(pieces[0][i],
-                                      pieces[0][(i + 1) % len(pieces[0])]))
-            for ear in pieces[1:]:
-                assert ear[0] in nodes_so_far and ear[-1] in nodes_so_far
-                assert all(x not in nodes_so_far for x in ear[1:-1])
-                for a, b in zip(ear, ear[1:]):
-                    used.add(g.edge_index(a, b))
-                nodes_so_far.update(ear)
-                count += len(ear) - 1
-            assert used == set(range(len(g.edges)))
-            assert count == len(g.edges)
-        else:
-            with pytest.raises(NotTwoConnectedError):
-                ear_decomposition(g)
 
 
 # -- cuts ---------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_contraction_embedding_matches_networkx_and_fragments():
         assert (rot is not None) == nx.check_planarity(h)[0], g.edges
         verdicts[rot is not None] += 1
         if rot is not None:
-            _rotation, walks, _ = _face_walks(g, rot)
+            walks, _ = _face_walks(g, rot)
             assert {frozenset(u for u, _v in w) for w in walks} \
                 == {frozenset(f) for f in _embed_biconnected(g)}, g.edges
     assert min(verdicts) >= 250, verdicts

@@ -7,9 +7,10 @@ from cutpoly import (Graph, GraphError, K33MinorError, LinearInequality,
                      brute_hull, cut_from_side, cut_vectors, cycle_inequality,
                      edge_inequalities, enumerate_cuts, facet_description,
                      fourier_motzkin_project, hypermetric_k5, is_facet,
-                     is_valid, metric_inequalities, minor_exhaustive,
-                     polytope_dim, switch, triangles)
-from cutpoly.polytope import InequalitySystem, _maximal_k33free_facets
+                     is_valid, metric_inequalities, minor_exhaustive, switch,
+                     triangles)
+from cutpoly.polytope import (InequalitySystem, _maximal_k33free_facets,
+                              affine_rank)
 from helpers import (complete, cycle, double_k5, k33, maximal_pieces,
                      octahedron, random_graph, run_python)
 
@@ -149,10 +150,10 @@ def test_inequality_of_the_wrong_length_is_refused_without_asserts():
         "inequality has 1 coefficients, the graph 3 edges"] * 2
 
 
-def test_polytope_dim_equals_edge_count():
+def test_cut_vectors_affinely_span_the_edge_space():
     for g in (complete(3), complete(4), Graph(2, [(0, 1, 1)]), cycle(5),
               double_k5(), octahedron()):
-        assert polytope_dim(g) == len(g.edges)
+        assert affine_rank(cut_vectors(g)) == len(g.edges)
 
 
 # -- hull oracle --------------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 The copies below are the implementations that the single homes folded
 away: the `Fraction` elimination behind the double-description hull, the
-per-mask K5 enumerator, and the initial-cycle DFS that `ear_decomposition`
-and the planar embedder each carried.  They serve as oracles only.
+per-mask K5 enumerator, and the initial-cycle DFS that the planar
+embedder carried.  They serve as oracles only.
 """
 
-import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,7 +14,7 @@ from math import gcd
 import pytest
 
 from cutpoly import (Graph, GraphError, brute_hull, cut_from_side, cut_vectors,
-                     cut_weight, ear_decomposition, gen_k33free,
+                     cut_weight, gen_k33free,
                      GeneratorSpec, maxcut_bruteforce, planar_embed)
 from cutpoly import graphs, planar, polytope
 from cutpoly.graphs import disjoint_sets, initial_cycle
@@ -26,8 +25,6 @@ from helpers import (complete, cycle, double_k5, live_hull, octahedron, path,
                      random_2connected, random_graph,
                      random_planar_2connected, run_python,
                      verify_small_cut_vectors)
-
-maxcut_mod = importlib.import_module("cutpoly.maxcut")
 
 
 # -- the replaced code ----------------------------------------------------------
@@ -316,7 +313,7 @@ def test_bruteforce_chunks_agree(monkeypatch):
     cases = [random_graph(seed, nmax=9, p=0.6) for seed in range(12)]
     whole = [maxcut_bruteforce(g) for g in cases]
     forced = [maxcut_bruteforce(g, (0, True)) for g in cases if g.edges]
-    monkeypatch.setattr(maxcut_mod, "_CELLS", 7)
+    monkeypatch.setattr(graphs, "_CELLS", 7)
     assert whole == [maxcut_bruteforce(g) for g in cases]
     assert forced == [maxcut_bruteforce(g, (0, True)) for g in cases if g.edges]
 
@@ -332,11 +329,8 @@ def test_initial_cycle_matches_old_dfs(monkeypatch):
     cases = two_connected_graphs() + [double_k5(), octahedron()]
     for g in cases:
         assert initial_cycle(g) == dfs_initial_cycle(g)
-    ears = [ear_decomposition(g) for g in cases]
     embeddings = [planar_embed(g) for g in cases]
-    monkeypatch.setattr(graphs, "initial_cycle", dfs_initial_cycle)
     monkeypatch.setattr(planar, "initial_cycle", dfs_initial_cycle)
-    assert ears == [ear_decomposition(g) for g in cases]
     assert embeddings == [planar_embed(g) for g in cases]
     assert sum(e is not None for e in embeddings) >= 60
 

@@ -354,7 +354,7 @@ def sweep_only_spr_tree(g: Graph):
 def test_shape_certified_skeletons_are_3_connected(tmp_path, capsys,
                                                    monkeypatch):
     """Every graph `_shape_class` certifies is an R skeleton of its class,
-    is 3-connected, and carries the very rotation of a fresh embedding of
+    is 3-connected, and carries the very faces of a fresh embedding of
     its skeleton graph; and `cutpoly decompose` prints what it prints with
     the frozen builder and sweep-only classes in place."""
     certified = []
@@ -393,7 +393,7 @@ def test_shape_certified_skeletons_are_3_connected(tmp_path, capsys,
                     assert emb is None
                 else:
                     assert emb.graph == sg
-                    assert emb.rotation == planar_embed(sg).rotation
+                    assert emb.faces == planar_embed(sg).faces
                 shaped.append((sg, cls))
                 checked[cls] += 1
         assert all(c in shaped for c in certified)

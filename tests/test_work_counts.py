@@ -5,9 +5,11 @@ larger instance, so a bound that held only at one size shows up."""
 import importlib
 import itertools
 import random
+import types
 
 import pytest
 
+import cutpoly
 from cutpoly import (GeneratorSpec, Graph, brute_hull, cut_vectors,
                      decompose_blocks, dual_graph, gen_k33free,
                      is_k_connected, maxcut, planar_embed, spr_tree)
@@ -287,3 +289,14 @@ def test_traced_names_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (modname, attr)
+
+
+def test_export_list_is_exact():
+    """`cutpoly.__all__` names each public object of the package once, and
+    nothing else, so a deleted function cannot leave a stale export."""
+    exported = cutpoly.__all__
+    assert len(set(exported)) == len(exported)
+    assert all(hasattr(cutpoly, name) for name in exported)
+    assert {name for name, value in vars(cutpoly).items()
+            if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)} == set(exported)
