@@ -177,12 +177,18 @@ def _parse_facet_file(text: str, edge_count: int
                          f"'dim {edge_count} count {len(rows)}'")
     out = set()
     for no, line in rows:
-        lhs, rhs = line.split("<=")
-        coeffs = tuple(int(c) for c in lhs.split())
+        try:
+            lhs, rhs = line.split("<=")
+            coeffs, bound = tuple(int(c) for c in lhs.split()), int(rhs)
+        except ValueError:
+            raise ParseError(f"facet file line {no}: {line.strip()!r} is not "
+                             f"'<coefficients> <= <bound>'") from None
         if len(coeffs) != edge_count:
             raise ParseError(f"facet file line {no}: {len(coeffs)} "
                              f"coefficients for {edge_count} edges")
-        out.add(polytope_mod.LinearInequality.canonical(coeffs, int(rhs)))
+        if not any(coeffs):
+            raise ParseError(f"facet file line {no}: no nonzero coefficient")
+        out.add(polytope_mod.LinearInequality.canonical(coeffs, bound))
     return out
 
 

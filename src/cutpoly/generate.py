@@ -60,9 +60,6 @@ class Xoshiro256StarStar:
     def randint(self, lo: int, hi: int) -> int:
         return lo + self.randrange(hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def chance(self, num: int, den: int) -> bool:
         return self.randrange(den) < num
 

@@ -86,10 +86,6 @@ class Graph:
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, edge_index) pairs of v."""
         return self._adj[v]
@@ -103,16 +99,13 @@ class Graph:
     def edge_index(self, u: int, v: int) -> int:
         return self._pair_index[(min(u, v), max(u, v))]
 
-    def weight(self, index: int) -> int:
-        return self.edges[index][2]
-
     def abs_weight(self) -> int:
         return sum(abs(w) for _u, _v, w in self.edges)
 
     # -- derived graphs ----------------------------------------------------
 
     def with_edge(self, u: int, v: int, w: int) -> "Graph":
-        """New graph with one edge appended (index = old edge_count)."""
+        """New graph with one edge appended (index = old len(edges))."""
         return Graph(self.node_count, list(self.edges) + [(u, v, w)])
 
     def without_edge(self, index: int) -> "Graph":

@@ -34,7 +34,7 @@ import numpy as np
 
 from .graphs import (CertificationError, Cut, Graph, GraphError,
                      SizeLimitError, _distinct_cuts, chordless_cycles,
-                     compact_graph, enumerate_cuts)
+                     cut_from_side)
 from . import minors as minors_mod
 from . import spqr as spqr_mod
 from .spqr import K33MinorError
@@ -452,9 +452,9 @@ def facet_description(g: Graph) -> InequalitySystem:
     """The complete irredundant facet list of the cut polytope.
 
     Supported classes: K5-minor-free graphs (edge + chordless-cycle
-    inequalities) and K33-minor-free graphs (per-component descriptions of
-    the 2-sum pieces, projected through deleted edges when the graph is
-    not maximal).  Anything else is refused with the offending component.
+    inequalities) and K33-minor-free graphs (the description of each
+    block's maximal completion, projected through the added edges).
+    Anything else is refused with the offending component.
     """
     return _decomposed_facets(g, spqr_mod.decompose_blocks(g))
 
@@ -495,46 +495,35 @@ def _edge_cycle_facets(g: Graph) -> list[LinearInequality]:
     return out
 
 
-def _maximal_k33free_facets(g: Graph, pieces) -> list[LinearInequality]:
-    """Facets of a strict 2-sum of planar triangulations and K5s, given
-    its pieces (sorted node tuple, edge pairs): the union of the pieces'
-    facet systems on shared variables.
-
-    Every piece contributes its edge+cycle facets, computed on the piece:
-    a triangulation's may include chordless cycles longer than triangles,
-    and a K5's are the metric inequalities of its 10 triangles (its only
-    chordless cycles; no edge lies outside them).  K5 pieces add the 16
-    switchings of the K5 inequality.  A piece that is neither, or has an
-    edge missing from g, is refused.
+def _maximal_k33free_facets(h: Graph, block: spqr_mod.Block
+                            ) -> list[LinearInequality]:
+    """Facets of the completed block h of `block` (its graph, then the
+    pairs of `_completion`): a strict 2-sum along real edges of triangles,
+    planar triangulations and K5s, so the union of the pieces' facets
+    (Barahona & Mahjoub, "On the cut polytope", 1986).  A chordless cycle
+    of such a 2-sum lies in one piece, so the chordless cycles of h are
+    the pieces', and every edge lies on a triangle, so no edge bound is a
+    facet: the pieces' edge+cycle facets are `_edge_cycle_facets(h)`.
+    Each K5 skeleton adds its K5 inequality switched by the 16 cuts whose
+    side is a subset of its nodes but the first.
     """
-    out: list[LinearInequality] = []
-    for nodes, pairs in pieces:
-        sub, _ = compact_graph(nodes, [(u, v, 0) for u, v in pairs])
-        k5 = sub.node_count == 5 and len(sub.edges) == 10
-        if not (k5 or len(sub.edges) == 3 * sub.node_count - 6) \
-                or not all(g.has_edge(u, v) for u, v in pairs):
-            raise CertificationError("piece is not a K5 or a triangulation "
-                                     "of the completed graph")
-        ineqs = _edge_cycle_facets(sub)
-        if k5:
-            ineqs += [switch(hypermetric_k5(sub, range(5)), c)
-                      for c in enumerate_cuts(sub)]
-        cols = [g.edge_index(nodes[su], nodes[sv]) for su, sv, _w in sub.edges]
-        for q in ineqs:
-            coeffs = [0] * len(g.edges)
-            for j, c in zip(cols, q.coeffs):
-                coeffs[j] = c
-            out.append(LinearInequality.canonical(coeffs, q.rhs))
+    out = _edge_cycle_facets(h)
+    for sid, (cls, _emb, _sg) in block.r_skeletons.items():
+        if cls == "K5":
+            nodes = block.tree.node(sid).nodes
+            k5 = hypermetric_k5(h, nodes)
+            out += [switch(k5, cut_from_side(h, side)) for r in range(5)
+                    for side in itertools.combinations(nodes[1:], r)]
     return out
 
 
 def _completed_facets(block: spqr_mod.Block) -> list[LinearInequality]:
-    """K33-minor-free block: describe its maximal completion piece by
-    piece, then eliminate the added edges one at a time."""
+    """K33-minor-free block: describe its maximal completion, then
+    eliminate the added edges one at a time."""
     g = block.graph
-    added, pieces = spqr_mod._completion(block)
+    added = spqr_mod._completion(block)
     h = Graph(g.node_count, list(g.edges) + [(u, v, 0) for u, v in added])
-    system = InequalitySystem.of(h, _maximal_k33free_facets(h, pieces))
+    system = InequalitySystem.of(h, _maximal_k33free_facets(h, block))
     # added edges sit at the end of h's edge list; eliminate from the back
     # so surviving indices match g's
     for idx in range(len(h.edges) - 1, len(g.edges) - 1, -1):

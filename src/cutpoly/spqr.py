@@ -751,7 +751,7 @@ def k33_decompose(g: Graph) -> K33Decomposition:
     elif not decomposition or decomposition[0].tree is None:
         maximal = True  # K1 / K2: nothing can be added
     else:
-        maximal = witness is None and not _completion(decomposition[0])[0]
+        maximal = witness is None and not _completion(decomposition[0])
     return K33Decomposition(witness is None, comps, maximal, witness)
 
 
@@ -807,52 +807,47 @@ def maximal_completion(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     if decomposition and decomposition[0].tree:
         (block,) = decomposition
         more = [(block.nodes[u], block.nodes[v])
-                for u, v in _completion(block)[0]]
+                for u, v in _completion(block)]
         h = Graph(h.node_count, list(h.edges) + [(u, v, 0) for u, v in more])
         added += more
     return h, added
 
 
-# a piece of a completed block: sorted node tuple, edge pairs
-_Piece = tuple[tuple[int, ...], list[tuple[int, int]]]
-
-
-def _completion(block: Block) -> tuple[list[tuple[int, int]], list[_Piece]]:
+def _completion(block: Block) -> list[tuple[int, int]]:
     """The additions of `maximal_completion` for a K33-minor-free block
     with a tree, in the block's labels and in that order; the first are
     the pairs `augment_with_parallel_originals` inserts.  They are
     distinct and new: skeletons share only virtual pairs, and faces of
     3-connected planar graphs have no chords.
 
-    Also returns the pieces of the completed block: its triangles, planar
-    triangulations and K5s, glued along real edges.
+    The completed block is the strict 2-sum along real edges of the S
+    fans' triangles, the fanned planar R skeletons (checked: 3n - 6 pairs
+    each) and the K5s, so every skeleton pair must be one of its edges.
     """
     g = block.graph
     aug, _tree = augment_with_parallel_originals(g, block.tree)
     added = [e[:2] for e in aug.edges[len(g.edges):]]
-    pieces = []
     for sn in block.tree.nodes:
-        pairs = [e.endpoints() for e in sn.edges]
         cls, emb, _sg = block.r_skeletons.get(sn.id, (sn.kind, None, None))
         if sn.kind == "S" and len(sn.nodes) >= 4:
             v0, *rest = _cycle_order(sn)  # starts at the minimum node
             added += [(v0, x) for x in rest[1:-1]]
-            for x, y in zip(rest, rest[1:]):
-                tri = (v0, min(x, y), max(x, y))
-                pieces.append((tri, [tri[:2], tri[::2], tri[1:]]))
         elif cls == "Planar":
             chords = []
             for face in emb.faces:
                 walk = [sn.nodes[x] for x, _y in face]
                 chords += [(min(walk[0], x), max(walk[0], x))
                            for x in walk[2:-1]]
+            if len(sn.edges) + len(chords) != 3 * len(sn.nodes) - 6:
+                raise CertificationError("planar fan is not a triangulation")
             added += chords
-            pieces.append((sn.nodes, pairs + chords))
-        elif sn.kind != "P":
-            pieces.append((sn.nodes, pairs))
-    if len(set(added)) != len(added) or any(g.has_edge(*e) for e in added):
+    new = set(added)
+    if len(new) != len(added) or any(g.has_edge(*e) for e in added):
         raise CertificationError("completion tried to re-add an edge")
-    return added, pieces
+    if not all(g.has_edge(*e.endpoints()) or e.endpoints() in new
+               for sn in block.tree.nodes for e in sn.edges):
+        raise CertificationError("skeleton pair missing from the completion")
+    return added
 
 
 def _cycle_order(sn: SkeletonNode) -> list[int]:

@@ -39,13 +39,12 @@ def path(n: int, w: int = 1) -> Graph:
     return Graph(n, [(i, i + 1, w) for i in range(n - 1)])
 
 
-def maximal_pieces(g: Graph):
-    """The pieces of a maximal 2-connected K33-minor-free graph, in the
-    form `polytope._maximal_k33free_facets` takes them."""
+def maximal_block(g: Graph):
+    """The one block of a maximal 2-connected K33-minor-free graph, as
+    `polytope._maximal_k33free_facets` takes it with g."""
     (block,) = decompose_blocks(g)
-    added, pieces = _completion(block)
-    assert not added, "graph is not maximal"
-    return pieces
+    assert not _completion(block), "graph is not maximal"
+    return block
 
 
 def k33() -> Graph:

@@ -17,7 +17,7 @@ from cutpoly import (CertificationError, Graph, LinearInequality,
 from cutpoly import polytope
 from cutpoly.polytope import (InequalitySystem, _maximal_k33free_facets,
                               affine_rank)
-from helpers import (complete, double_k5, maximal_pieces, octahedron,
+from helpers import (complete, double_k5, maximal_block, octahedron,
                      perfbench_module)
 
 
@@ -53,7 +53,7 @@ def old_project(system, idx):
 def completion_system(g):
     h, _added = maximal_completion(g)
     return h, InequalitySystem.of(
-        h, _maximal_k33free_facets(h, maximal_pieces(h)))
+        h, _maximal_k33free_facets(h, maximal_block(h)))
 
 
 def projection_steps(g):

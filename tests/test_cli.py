@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import importlib
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +242,27 @@ def test_verify_malformed_facet_file_is_an_input_error(edit, k5_file, tmp_path,
     assert err.startswith("input error: facet file")
 
 
+@pytest.mark.parametrize("row", [
+    "1 1 1 1 1 1 1 1 1 1",  # no bound
+    "1 1 1 1 1 1 1 1 1 1 <= 2 <= 3",  # two bounds
+    "1 a 1 1 1 1 1 1 1 1 <= 2",  # not an integer
+    "1 1 1 1 1 1 1 1 1 1 <= b",
+    "0 0 0 0 0 0 0 0 0 0 <= 2",  # no nonzero coefficient
+])
+def test_verify_malformed_facet_row_names_its_line(row, k5_file, tmp_path,
+                                                    capsys):
+    """A malformed row is an input error that names its line, not a bare
+    Python message."""
+    facet_file = tmp_path / "facets.txt"
+    run_cli(["facets", k5_file, "--out", str(facet_file)], capsys)
+    lines = facet_file.read_text().splitlines()
+    facet_file.write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n")
+    code, out, err = run_cli(["verify", k5_file, "--facets", str(facet_file)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: facet file line 3: ")
+
+
 def test_exit_code_unsupported(tmp_path, capsys):
     f = tmp_path / "k33.cut"
     f.write_text(format_graph(k33()))
@@ -394,6 +417,16 @@ def test_facets_same_without_asserts(tmp_path, capsys):
         assert optimized.stdout == plain
 
 
+def test_no_assert_in_the_package():
+    """Checks in the package are explicit code, so `python -O` keeps
+    them: no module holds an `assert` statement."""
+    paths = sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert paths and found == []
+
+
 # each certificate of an SPR tree, broken by a pass that hands back wrong
 # components: an original edge with another weight, a pair id held once,
 # a K5 called a cycle, a 5-cycle called R, two skeletons joined by two
@@ -539,7 +572,7 @@ def test_classify_certificate_error_exit_code(graph, patch, tmp_path,
 
 def test_one_decomposition_per_block(tmp_path, capsys, monkeypatch):
     """On a non-strict 2-sum of a K5 and a triangulation, facets build
-    one SPR-tree (the completed pieces are read off it) and run no
+    one SPR-tree (the completed block is described from it) and run no
     whole-graph minor test; verify builds one SPR-tree per block.  Trees
     are counted at `_spr_tree`, which the public `spr_tree` and
     `decompose_blocks` both build them with."""

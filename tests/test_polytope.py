@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from cutpoly import (Graph, GraphError, K33MinorError, LinearInequality,
-                     brute_hull, cut_from_side, cut_vectors, cycle_inequality,
-                     edge_inequalities, enumerate_cuts, facet_description,
-                     fourier_motzkin_project, hypermetric_k5, is_facet,
-                     is_valid, metric_inequalities, minor_exhaustive, switch,
-                     triangles)
+from cutpoly import (GeneratorSpec, Graph, GraphError, K33MinorError,
+                     LinearInequality, brute_hull, cut_from_side, cut_vectors,
+                     cycle_inequality, edge_inequalities, enumerate_cuts,
+                     facet_description, fourier_motzkin_project, gen_k33free,
+                     hypermetric_k5, is_facet, is_valid, metric_inequalities,
+                     minor_exhaustive, switch, triangles)
 from cutpoly.polytope import (InequalitySystem, _maximal_k33free_facets,
                               affine_rank)
-from helpers import (complete, cycle, double_k5, k33, maximal_pieces,
+from helpers import (complete, cycle, double_k5, k33, maximal_block,
                      octahedron, random_graph, run_python)
 
 
@@ -201,13 +201,39 @@ def test_facets_octahedron_both_routes_match_hull():
     assert len(hull) == 56
     fd = facet_description(g)
     assert set(fd.inequalities) == hull
-    via_pieces = {LinearInequality.canonical(q.coeffs, q.rhs)
-                  for q in _maximal_k33free_facets(g, maximal_pieces(g))}
-    assert via_pieces == hull
+    via_block = {LinearInequality.canonical(q.coeffs, q.rhs)
+                 for q in _maximal_k33free_facets(g, maximal_block(g))}
+    assert via_block == hull
     metric = set()
     for tri in triangles(g):
         metric.update(metric_inequalities(g, tri_indices(g, tri)))
     assert len(metric) == 32 and metric < hull
+
+
+def test_maximal_facets_are_the_pieces_hulls():
+    """Past the whole-graph hull guard (m 28-41), the description of a
+    strict 4-piece 2-sum is the union of every non-P skeleton's hull,
+    each skeleton read as a graph on its node pairs and its facets spread
+    to the completed graph's edge indices."""
+    for seed in range(12):
+        g = gen_k33free(GeneratorSpec(seed=seed, component_count=4))
+        block = maximal_block(g)
+        assert len(g.edges) > 12
+        union = set()
+        for sn in block.tree.nodes:
+            if sn.kind == "P":
+                continue
+            label = {v: i for i, v in enumerate(sn.nodes)}
+            piece = Graph(len(sn.nodes), [(label[e.u], label[e.v], 0)
+                                          for e in sn.edges])
+            cols = [g.edge_index(sn.nodes[u], sn.nodes[v])
+                    for u, v, _w in piece.edges]
+            for q in brute_hull(cut_vectors(piece)):
+                coeffs = [0] * len(g.edges)
+                for j, c in zip(cols, q.coeffs):
+                    coeffs[j] = c
+                union.add(LinearInequality(tuple(coeffs), q.rhs))
+        assert set(_maximal_k33free_facets(g, block)) == union, seed
 
 
 def test_facets_two_triangle_2_sum():

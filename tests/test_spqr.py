@@ -20,7 +20,7 @@ from cutpoly.spqr import (SkelEdge, SkeletonNode, SprTree, _completion,
 import frozen_augment
 from helpers import (complete, cycle, decomposed, double_k5, frozen_tree, k33,
                      octahedron, path, random_2connected, random_graph,
-                     shape_corpus)
+                     run_python, shape_corpus)
 
 
 def test_spr_k5_single_r():
@@ -313,6 +313,44 @@ def test_completion_rejects_k33():
         maximal_completion(k33())
 
 
+# the completion's certificates, each broken: a cube (one planar R
+# skeleton) with one face dropped from its embedding fans to 3n - 7 pairs,
+# and two K5s on a deleted common edge, completed without the augmenting
+# pair, leave a K5 skeleton's virtual pair out of the completed block
+COMPLETION_CHECKS = """
+from dataclasses import replace
+import itertools
+from cutpoly import CertificationError, Graph, decompose_blocks, spqr
+from cutpoly.cli import main
+cube = Graph(8, [(u, u | b, 1) for u in range(8) for b in (1, 2, 4)
+                 if not u & b])
+(block,) = decompose_blocks(cube)
+cls, emb, sg = block.r_skeletons[0]
+block.r_skeletons[0] = (cls, replace(emb, faces=emb.faces[1:]), sg)
+try:
+    spqr._completion(block)
+except CertificationError as exc:
+    print(exc)
+spqr.augment_with_parallel_originals = lambda g, t: (g, t)
+double = Graph(8, [(u, v, 1) for part in ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7))
+                   for u, v in itertools.combinations(part, 2)
+                   if (u, v) != (0, 1)])
+try:
+    spqr._completion(decompose_blocks(double)[0])
+except CertificationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_completion_checks_raise_without_asserts(flags):
+    proc = run_python(*flags, "-c", COMPLETION_CHECKS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "planar fan is not a triangulation",
+        "skeleton pair missing from the completion"]
+
+
 def test_witness_shared_by_every_consumer():
     """A K5 and a K33 glued on the edge 0-1, after a separate triangle:
     the block carries both minors, so maxcut, facet_description and
@@ -443,7 +481,7 @@ def completion_checking_blocks_first(g: Graph):
     if decomposition and decomposition[0].tree:
         (block,) = decomposition
         more = [(block.nodes[u], block.nodes[v])
-                for u, v in _completion(block)[0]]
+                for u, v in _completion(block)]
         h = Graph(h.node_count, list(h.edges) + [(u, v, 0) for u, v in more])
         added += more
     return h, added
