@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import CertificationError, Graph, SizeLimitError, blocks, \
+from .graphs import CertificationError, Graph, SizeLimitError, \
     chordless_cycles, compact_graph, connected_components, cut_vectors, \
     triangles
 from .minors import c4_minor_block
-from .polytope import LinearInequality, brute_hull
+from .polytope import InequalitySystem, LinearInequality, _cycle_edges, \
+    brute_hull, cycle_inequality, edge_inequalities
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def classify(g: Graph) -> ClassificationReport:
         c4_witness = tuple(sorted(labels[v] for v in bad[0]))
         simple_reason = (f"block on nodes {tuple(v + 1 for v in c4_witness)}"
                          " is neither an edge nor a triangle (C4 minor)")
-        if not blocks(g).cut_nodes and len(connected_components(g)) == 1:
+        if len(bad[1]) == len(g.edges):  # g itself is the block: 2-connected
             certificate = _non_simplicity_certificate(g)
 
     name = _SIMPLICIAL.get(tuple(sorted(map(g.degree, range(g.node_count)))))
@@ -99,42 +100,27 @@ def _non_simplicity_certificate(g: Graph) -> tuple[LinearInequality, ...]:
     """|E|+1 facet-defining inequalities tight at the origin, witnessing
     non-simplicity of a 2-connected graph other than K3.
 
-    One rooted chordless-cycle inequality per edge, plus either an edge
-    bound (if the graph is a plain cycle) or a second chordless cycle
-    through some chord.
+    One chordless-cycle inequality per edge e, rooted at e (F = {e}), plus
+    either the edge bound x_0 >= 0 (if the graph is a plain cycle) or a
+    second chordless cycle through some chord.
     """
     m = len(g.edges)
-    by_edge: dict[int, list[list[int]]] = {i: [] for i in range(m)}
+    by_edge: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(m)}
     for cyc in chordless_cycles(g):
-        ids = [g.edge_index(cyc[i], cyc[(i + 1) % len(cyc)])
-               for i in range(len(cyc))]
-        for e in ids:
-            by_edge[e].append(ids)
-    out = []
-    for e in range(m):
-        if not by_edge[e]:
-            raise CertificationError("edge on no chordless cycle")
-        out.append(_rooted_cycle(g, by_edge[e][0], e))
+        for e in _cycle_edges(g, cyc):
+            by_edge[e].append(cyc)
+    if not all(by_edge.values()):
+        raise CertificationError("edge on no chordless cycle")
+    out = [cycle_inequality(g, cycs[0], (e,)) for e, cycs in by_edge.items()]
     if all(g.degree(v) == 2 for v in range(g.node_count)):
-        lo = [0] * m
-        lo[0] = -1
-        out.append(LinearInequality.canonical(lo, 0))  # x_e >= 0
+        out.append(edge_inequalities(g, 0)[0])
     else:
         e = next(e for e in range(m) if len(by_edge[e]) >= 2)
-        out.append(_rooted_cycle(g, by_edge[e][1], e))
-    uniq = tuple(sorted(set(out), key=lambda q: (q.coeffs, q.rhs)))
+        out.append(cycle_inequality(g, by_edge[e][1], (e,)))
+    uniq = InequalitySystem.of(g, out).inequalities
     if len(uniq) != m + 1:
         raise CertificationError("certificate must have |E|+1 distinct facets")
     return uniq
-
-
-def _rooted_cycle(g: Graph, cycle_edges: list[int],
-                  root_edge: int) -> LinearInequality:
-    coeffs = [0] * len(g.edges)
-    for e in cycle_edges:
-        coeffs[e] = -1
-    coeffs[root_edge] = 1
-    return LinearInequality.canonical(coeffs, 0)
 
 
 def brute_classify(g: Graph) -> tuple[bool, bool]:

@@ -123,8 +123,9 @@ def cmd_verify(args) -> int:
         lines.append("maxcut skipped (K33 minor)")
 
     try:
-        system = polytope_mod._decomposed_facets(g, decomposition)
+        routes = polytope_mod._facet_routes(decomposition)
         if args.facets:
+            system = polytope_mod._decomposed_facets(g, routes)
             with open(args.facets, "r", encoding="utf-8") as fh:
                 expected = _parse_facet_file(fh.read(), len(g.edges))
             if expected != set(system.inequalities):
@@ -133,6 +134,7 @@ def cmd_verify(args) -> int:
             else:
                 lines.append(f"facets ok count {len(system.inequalities)}")
         elif len(g.edges) <= 12 and len(vectors := cut_vectors(g)) <= 64:
+            system = polytope_mod._decomposed_facets(g, routes)
             hull = polytope_mod.brute_hull(vectors)
             if set(hull) != set(system.inequalities):
                 failed = True
@@ -192,26 +194,26 @@ def _parse_facet_file(text: str, edge_count: int
     return out
 
 
+def _int_pair(option: str, text: str, form: str) -> tuple[int, int]:
+    """The two integers of an option value of the form LO:HI or NUM/DEN."""
+    try:
+        a, b = (int(x) for x in text.split(":" if ":" in form else "/"))
+    except ValueError:
+        raise ParseError(f"{option} {text!r} is not {form}") from None
+    return a, b
+
+
 def cmd_gen(args) -> int:
-    lo, hi = (int(x) for x in args.weights.split(":"))
-    tlo, thi = (int(x) for x in args.tri_size.split(":"))
-    num, den = (int(x) for x in args.delete_prob.split("/"))
     spec = GeneratorSpec(
         seed=args.seed,
         component_count=args.components,
         kinds=tuple(args.kinds.split(",")),
-        tri_size=(tlo, thi),
+        tri_size=_int_pair("--tri-size", args.tri_size, "LO:HI"),
         strict=not args.non_strict,
-        deletion_prob=(num, den),
-        weight_range=(lo, hi),
+        deletion_prob=_int_pair("--delete-prob", args.delete_prob, "NUM/DEN"),
+        weight_range=_int_pair("--weights", args.weights, "LO:HI"),
     )
-    g = gen_k33free(spec)
-    text = format_graph(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(format_graph(gen_k33free(spec)).splitlines(), args.out)
     return OK
 
 

@@ -77,46 +77,26 @@ class InequalitySystem:
 # -- inequality generators -----------------------------------------------------
 
 def metric_inequalities(g: Graph, tri_edges) -> list[LinearInequality]:
-    """The four facet forms of one triangle: the sum form and the three
-    rooted difference forms."""
+    """A triangle's four facet forms, its cycle inequalities with F the
+    three edges (the sum form), then each edge alone (rooted forms)."""
     es = tuple(tri_edges)
-    if len(set(es)) != 3:
-        raise GraphError("triangle must consist of three distinct edges")
-    nodes = set()
-    for i in es:
-        nodes.update(g.edges[i][:2])
-    if len(nodes) != 3:
+    nodes = sorted({x for i in es for x in _edge(g, i)[:2]})
+    if not len(es) == len(set(es)) == len(nodes) == 3:
         raise GraphError("edges do not form a triangle")
-    for a, b in itertools.combinations(sorted(nodes), 2):
-        if not g.has_edge(a, b):
-            raise GraphError("edges do not form a triangle")
-    m = len(g.edges)
-    out = []
-    base = [0] * m
-    for i in es:
-        base[i] = 1
-    out.append(LinearInequality.canonical(base, 2))
-    for root in es:
-        coeffs = [0] * m
-        for i in es:
-            coeffs[i] = 1 if i == root else -1
-        out.append(LinearInequality.canonical(coeffs, 0))
-    return out
+    return [cycle_inequality(g, nodes, f) for f in (es, *((i,) for i in es))]
 
 
 def edge_inequalities(g: Graph, edge_index: int) -> list[LinearInequality]:
     """Both bounds 0 <= x_e <= 1 when e lies in no triangle (then they are
     facets), else the empty list."""
-    u, v, _w = g.edges[edge_index]
+    u, v, _w = _edge(g, edge_index)
     common = {x for x, _i in g.neighbors(u)} & {x for x, _i in g.neighbors(v)}
     if common:
         return []
-    m = len(g.edges)
-    lo = [0] * m
-    lo[edge_index] = -1
-    hi = [0] * m
+    hi = [0] * len(g.edges)
     hi[edge_index] = 1
-    return [LinearInequality.canonical(lo, 0), LinearInequality.canonical(hi, 1)]
+    return [LinearInequality.canonical([-c for c in hi], 0),
+            LinearInequality.canonical(hi, 1)]
 
 
 def cycle_inequality(g: Graph, cycle, odd_set) -> LinearInequality:
@@ -124,20 +104,32 @@ def cycle_inequality(g: Graph, cycle, odd_set) -> LinearInequality:
     cyc = list(cycle)
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         raise GraphError("not a cycle")
-    try:
-        cyc_edges = {g.edge_index(cyc[i], cyc[(i + 1) % len(cyc)])
-                     for i in range(len(cyc))}
-    except KeyError:
-        raise GraphError("node sequence is not a cycle of the graph") from None
+    cyc_edges = _cycle_edges(g, cyc)
     f = set(odd_set)
     if len(f) % 2 == 0:
         raise GraphError("F must have odd size")
-    if not f <= cyc_edges:
+    if not f <= set(cyc_edges):
         raise GraphError("F must be a subset of the cycle's edges")
     coeffs = [0] * len(g.edges)
     for i in cyc_edges:
         coeffs[i] = 1 if i in f else -1
     return LinearInequality.canonical(coeffs, len(f) - 1)
+
+
+def _edge(g: Graph, index: int) -> tuple[int, int, int]:
+    if not 0 <= index < len(g.edges):
+        raise GraphError(f"edge index {index} is not an edge of the graph")
+    return g.edges[index]
+
+
+def _cycle_edges(g: Graph, cycle) -> list[int]:
+    """The edge indices of a node cycle, from each node to the next and
+    from the last back to the first."""
+    try:
+        return [g.edge_index(u, v)
+                for u, v in zip(cycle, [*cycle[1:], cycle[0]])]
+    except KeyError:
+        raise GraphError("node sequence is not a cycle of the graph") from None
 
 
 def hypermetric_k5(g: Graph, five_nodes) -> LinearInequality:
@@ -456,24 +448,35 @@ def facet_description(g: Graph) -> InequalitySystem:
     block's maximal completion, projected through the added edges).
     Anything else is refused with the offending component.
     """
-    return _decomposed_facets(g, spqr_mod.decompose_blocks(g))
+    return _decomposed_facets(g, _facet_routes(spqr_mod.decompose_blocks(g)))
 
 
-def _decomposed_facets(g: Graph, decomposition: tuple[spqr_mod.Block, ...]
-                       ) -> InequalitySystem:
-    """`facet_description` of g, given `decompose_blocks(g)`: the union of
-    the blocks' descriptions (every triangle and chordless cycle lies in
-    one block)."""
-    out: list[LinearInequality] = []
+def _facet_routes(decomposition: tuple[spqr_mod.Block, ...]
+                  ) -> list[tuple[spqr_mod.Block, bool]]:
+    """Each block of `decompose_blocks(g)` with its route, decided before
+    any facet is built: False for the edge and chordless-cycle facets of a
+    K5-minor-free block, True for the completed route of a K33-minor-free
+    one.  A block with both minors refuses g with K33MinorError."""
+    routes = []
     for block in decomposition:
-        if not minors_mod._block_has_minor(block, "K5"):
-            ineqs = _edge_cycle_facets(block.graph)
-        elif block.witness is not None:
+        completed = minors_mod._block_has_minor(block, "K5")
+        if completed and block.witness is not None:
             raise K33MinorError(
                 "facet_description supports K5-minor-free or "
                 "K33-minor-free graphs only", block.witness)
-        else:
-            ineqs = _completed_facets(block)
+        routes.append((block, completed))
+    return routes
+
+
+def _decomposed_facets(g: Graph, routes: list[tuple[spqr_mod.Block, bool]]
+                       ) -> InequalitySystem:
+    """`facet_description` of g, given `_facet_routes` of its blocks: the
+    union of the blocks' descriptions (every triangle and chordless cycle
+    lies in one block)."""
+    out: list[LinearInequality] = []
+    for block, completed in routes:
+        ineqs = (_completed_facets(block) if completed
+                 else _edge_cycle_facets(block.graph))
         for q in ineqs:  # canonical already: spreading keeps the gcd
             coeffs = [0] * len(g.edges)
             for j, c in zip(block.edges, q.coeffs):
@@ -487,8 +490,7 @@ def _edge_cycle_facets(g: Graph) -> list[LinearInequality]:
     for i in range(len(g.edges)):
         out.extend(edge_inequalities(g, i))
     for cyc in chordless_cycles(g):
-        cyc_edges = [g.edge_index(cyc[i], cyc[(i + 1) % len(cyc)])
-                     for i in range(len(cyc))]
+        cyc_edges = _cycle_edges(g, cyc)
         for r in range(1, len(cyc_edges) + 1, 2):
             for f in itertools.combinations(cyc_edges, r):
                 out.append(cycle_inequality(g, cyc, f))

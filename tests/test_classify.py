@@ -7,7 +7,8 @@ from cutpoly import (Graph, SizeLimitError, brute_classify, brute_hull,
                      classify, connected_components, cut_vectors,
                      is_c4_minor_free, is_facet)
 from cutpoly.classify import _drop_isolated, hull_verdicts
-from helpers import complete, connected_graphs_up_to_iso, cycle, path
+from helpers import (complete, connected_graphs_up_to_iso, cycle, double_k5,
+                     octahedron, path, random_2connected)
 
 
 def paw():
@@ -193,7 +194,12 @@ def test_product_rule_for_simplicity():
 
 
 def test_non_simplicity_certificate_is_facets_at_origin():
-    for g in (cycle(4), cycle(5), complete(4), complete(5)):
+    wheel = Graph(7, [(0, i, 1) for i in range(1, 7)]
+                  + [(i, i % 6 + 1, 1) for i in range(1, 7)])
+    sweep = [g for g in map(random_2connected, range(12)) if g is not None]
+    assert len(sweep) >= 8
+    for g in (cycle(4), cycle(5), complete(4), complete(5), octahedron(),
+              double_k5(), wheel, *sweep):
         rep = classify(g)
         cert = rep.non_simplicity_certificate
         assert len(cert) == len(g.edges) + 1

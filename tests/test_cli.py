@@ -14,6 +14,7 @@ from cutpoly.cli import main
 from cutpoly.maxcut import EliminationState
 from helpers import complete, cycle, double_k5, k33, path, run_python, \
     stacked_triangulation
+import stdout_digest
 
 classify_mod = importlib.import_module("cutpoly.classify")
 
@@ -173,6 +174,23 @@ def test_verify_skips_stages_past_the_cut_enumeration_guard(tmp_path, capsys):
         "maxcut skipped (maxcut_bruteforce guard: node_count <= 24)",
         "facets skipped (enumerate_cuts guard: node_count <= 24)",
         "classify ok simple=yes simplicial=yes"]
+
+
+def test_verify_builds_no_facets_past_the_hull_guard(tmp_path, monkeypatch,
+                                                    capsys):
+    """A 13-cycle has 13 edges, past the hull guard, so verify skips the
+    facets stage before building any facet."""
+    f = tmp_path / "c13.cut"
+    f.write_text(format_graph(cycle(13)))
+
+    def refuse(_g):
+        raise AssertionError("facets built past the hull guard")
+
+    monkeypatch.setattr(polytope, "_edge_cycle_facets", refuse)
+    code, out, _ = run_cli(["verify", str(f)], capsys)
+    assert code == 0 and out.splitlines() == [
+        "maxcut ok value 12", "facets skipped (hull guard)",
+        "classify skipped (brute_classify guard: |E| <= 12)"]
 
 
 @pytest.mark.parametrize("command, out", [
@@ -388,6 +406,32 @@ def test_gen_weights_stay_within_the_parser_bound(weights, code, tmp_path,
                    capsys)[0] == code
     if code == 0:
         assert run_cli(["maxcut", str(f)], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--weights 1", "--weights '1' is not LO:HI"),
+    ("--weights=a:b", "--weights 'a:b' is not LO:HI"),
+    ("--tri-size 5", "--tri-size '5' is not LO:HI"),
+    ("--delete-prob 1", "--delete-prob '1' is not NUM/DEN")])
+def test_gen_option_errors_name_the_option(option, message, capsys):
+    """A malformed range or fraction exits 2 with the option and its
+    form, not Python's unpacking or int() message."""
+    code, out, err = run_cli(["gen", "--seed", "1", *option.split()], capsys)
+    assert code == 2 and out == "" and err == f"input error: {message}\n"
+
+
+def test_stdout_digest_runs_every_pool(capsys):
+    """`tests/stdout_digest.py` draws each benchmark pool and runs the
+    command on it; on two instances per pool every output passes the
+    benchmark's own correctness gate."""
+    wls = stdout_digest.wls
+    for name, wl in wls.WORKLOADS.items():
+        for seed in stdout_digest.SEEDS:
+            runs = stdout_digest.pool_runs(name, seed, 2)
+            assert len(runs) == 2
+            for inst, code, out in runs:
+                wls.reference_entry(wl, inst, code, out, None)
+            assert len(stdout_digest.digest(runs)) == 64
 
 
 def test_console_script_installed():

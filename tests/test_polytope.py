@@ -42,6 +42,8 @@ def test_metric_rejects_non_triangle():
         metric_inequalities(g, [0, 1, 2])
     with pytest.raises(GraphError):
         metric_inequalities(complete(3), [0, 0, 1])
+    with pytest.raises(GraphError):
+        metric_inequalities(complete(3), [0, 1, 2, 2])
 
 
 def test_edge_inequalities():
@@ -52,6 +54,18 @@ def test_edge_inequalities():
     k2 = Graph(2, [(0, 1, 1)])
     qs = edge_inequalities(k2, 0)
     assert set(brute_hull(cut_vectors(k2))) == set(qs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: edge_inequalities(g, 99), lambda g: edge_inequalities(g, -1),
+    lambda g: metric_inequalities(g, [0, 1, -1]),
+    lambda g: metric_inequalities(g, [0, 1, 7])],
+    ids=("edge-99", "edge-minus-1", "metric-minus-1", "metric-7"))
+def test_constructors_refuse_an_edge_index_outside_the_graph(build):
+    """An edge index outside 0..m-1 is a GraphError, not Python's
+    negative indexing or a bare IndexError."""
+    with pytest.raises(GraphError, match="is not an edge of the graph"):
+        build(complete(4))
 
 
 def test_cycle_inequality_forms():
